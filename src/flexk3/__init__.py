@@ -7,7 +7,7 @@ and Schubert-calculus intersection numbers), cross-validates them, and
 compares the result against the Yau-Zaslow rational-curve multiples.
 """
 
-from .exact import ExactInt, ExactRational, binomial, catalan, exact_div, factorial
+from .exact import binomial, catalan, exact_div, factorial
 from .flexdeg import (
     FlexReport,
     cross_check,
@@ -42,8 +42,6 @@ __all__ = [
     "BoxPartition",
     "CrossoverReport",
     "CrossoverRow",
-    "ExactInt",
-    "ExactRational",
     "FlexReport",
     "GradedBivariate",
     "IntSeries",

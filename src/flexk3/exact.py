@@ -1,18 +1,12 @@
 """Exact combinatorial kernel: factorials, binomials, Catalan numbers.
 
 Everything here runs on Python's arbitrary-precision integers, so results
-are exact at any size.  Rational intermediates elsewhere in the package use
-fractions.Fraction; the aliases below name the two exact scalar types used
-throughout.
+are exact at any size.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 import math
-
-ExactInt = int
-ExactRational = Fraction
 
 
 def factorial(n: int) -> int:

@@ -18,10 +18,14 @@ This module computes n_d five ways and cross-validates:
                       class of the relevant tautological bundle, pair its
                       degree-(2d-1) part against sigma1 using the
                       closed-form monomial integrals
-  5. nd_chern_schubert   the same pairing evaluated by operator iteration
-                      in the Schubert basis, no closed-form integrals
+  5. nd_chern_schubert   the same pairing evaluated by a Horner sweep in
+                      the Schubert basis, no closed-form integrals
 
-Routes 4 and 5 share the Chern class table but integrate independently.
+Routes 4 and 5 share the degree-(2d-1) Chern part, which chern_total
+builds from explicit coefficients in O(d^2) bigint operations (a dense
+degree-2d table costs O(d^4 log d)), but integrate independently: route 5
+costs 2d + 2 Pieri steps on elements of O(d) terms, against O(d^3) term
+updates for one Pieri walk per monomial.
 The sign of the double sum is not trusted a priori: it is calibrated once
 against the closed form on d = 1..5 and must be consistent across that
 range, otherwise an ArithmeticError flags the build as broken.
@@ -30,7 +34,6 @@ range, otherwise an ArithmeticError flags the build as broken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import binomial, catalan, exact_div, factorial
@@ -77,24 +80,22 @@ def _double_sum_raw(d: int) -> int:
     sum over 0 <= j <= d, 1 <= l <= d - j of
         (-1)^(j+1) C(4d+2, j) C(3d-j, 2d+l) C(2d+l, 2l-1) C(2l, l) / (l+1)
 
-    Terms are accumulated as exact rationals; the total is asserted to be
-    an integer.
+    The last two factors are the Catalan number C(l), so every term is an
+    integer and the sum needs no rationals.
     """
-    total = Fraction(0)
+    catalans = [catalan(ell) for ell in range(d + 1)]
+    total = 0
     for j in range(d + 1):
         sign = -1 if j % 2 == 0 else 1
-        cj = binomial(4 * d + 2, j)
+        cj = sign * binomial(4 * d + 2, j)
         for ell in range(1, d - j + 1):
-            term = (
+            total += (
                 cj
                 * binomial(3 * d - j, 2 * d + ell)
                 * binomial(2 * d + ell, 2 * ell - 1)
-                * binomial(2 * ell, ell)
+                * catalans[ell]
             )
-            total += Fraction(sign * term, ell + 1)
-    if total.denominator != 1:
-        raise ArithmeticError(f"double sum for d={d} is not an integer: {total}")
-    return total.numerator
+    return total
 
 
 @lru_cache(maxsize=1)
@@ -136,28 +137,37 @@ def nd_chern_monomial(d: int) -> int:
     """
     _require_positive(d)
     total = 0
-    for m, n, coef in chern_total(d).graded_part(2 * d - 1):
+    for m, n, coef in chern_total(d):
         total += coef * monomial_integral(m + 1, n, d)
     return -total
+
+
+def _sigma1_square_horner(d: int, coefs: list[int]) -> int:
+    """Integral of sum_n coefs[n] * sigma1^(2d-2n) * sigma2^n, n = 0..d-1.
+
+    Horner in sigma1^2 over the Schubert basis: acc <- sigma1^2 * acc +
+    coefs[n] * s_(n,n), where s_(n,n) = sigma2^n, then one more sigma1^2
+    and the top-class coefficient.  2d + 2 Pieri steps, each on an element
+    of one degree, so of at most d + 1 terms.
+    """
+    acc = SchubertElement(d)
+    for n, coef in enumerate(coefs):
+        acc = acc.pieri_sigma1().pieri_sigma1() + coef * SchubertElement.basis(d, n, n)
+    return acc.pieri_sigma1().pieri_sigma1().integrate()
 
 
 def nd_chern_schubert(d: int) -> int:
     """Same pairing as nd_chern_monomial, integrated in the Schubert basis.
 
-    Each monomial is pushed from s_(0,0) through the Pieri operators
-    (n times sigma2, then m + 1 times sigma1, the extra sigma1 being the
-    pairing class) and read off at the top class.
+    sigma1 * c_(2d-1) = sum_n c_n * sigma1^(2d-2n) * sigma2^n, with c_n the
+    coefficient of s1^(2d-1-2n) * s2^n, is pushed through the Pieri
+    operators in one Horner sweep and read off at the top class.
     """
     _require_positive(d)
-    total = 0
-    for m, n, coef in chern_total(d).graded_part(2 * d - 1):
-        elem = SchubertElement.one(d)
-        for _ in range(n):
-            elem = elem.mul_sigma2()
-        for _ in range(m + 1):
-            elem = elem.pieri_sigma1()
-        total += coef * elem.integrate()
-    return -total
+    coefs = [0] * d
+    for _, n, coef in chern_total(d):
+        coefs[n] = coef
+    return -_sigma1_square_horner(d, coefs)
 
 
 def flex_report(d: int) -> FlexReport:

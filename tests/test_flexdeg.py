@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexk3.exact import catalan
 from flexk3.flexdeg import (
+    _sigma1_square_horner,
     FlexReport,
     cross_check,
     example_checks,
@@ -16,6 +19,7 @@ from flexk3.flexdeg import (
     nd_double_sum,
     nd_factorial,
 )
+from flexk3.schubert import SchubertElement
 
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
 
@@ -99,3 +103,30 @@ def test_example_checks():
     assert nd_closed(1) ** 2 * 2 == 18
     assert 48 + 4 * (2 * 4) == 80 == 4 * nd_closed(2)
     assert 16 * 2 + 48 == 80 == 4 * nd_closed(2)
+
+
+def pieri_walk(d: int, n: int) -> int:
+    """Integral of sigma1^(2d-2n) * sigma2^n, one Pieri step at a time from s_(0,0)."""
+    elem = SchubertElement.one(d)
+    for _ in range(n):
+        elem = elem.mul_sigma2()
+    for _ in range(2 * d - 2 * n):
+        elem = elem.pieri_sigma1()
+    return elem.integrate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda d: st.lists(st.integers(-10**30, 10**30), min_size=d, max_size=d)
+))
+def test_horner_sweep_matches_pieri_walks(coefs):
+    d = len(coefs)
+    expected = sum(c * pieri_walk(d, n) for n, c in enumerate(coefs))
+    assert _sigma1_square_horner(d, coefs) == expected
+
+
+@pytest.mark.parametrize("d", [60, 100])
+def test_five_way_agreement_large_d(d):
+    report = flex_report(d)
+    assert report.agree
+    assert abs(report.n_sum_raw) == report.n_closed
