@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from flexk3 import qseries
+from flexk3.exact import exact_div
 from flexk3.qseries import (
     CrossoverRow,
     asym_flex,
@@ -35,6 +39,35 @@ A_SMALL = [
 ]
 
 
+def sigma_recurrence(N: int) -> list[int]:
+    """a(0..N) by n a(n) = 24 sum_{k=1}^{n} sigma(k) a(n-k): the O(N^2) route
+    euler_power_neg24 took before the Jacobi-cube divisions, kept as a reference."""
+    sigma = divisor_sums(N)
+    a = [0] * (N + 1)
+    a[0] = 1
+    for n in range(1, N + 1):
+        acc = 0
+        for k in range(1, n + 1):
+            acc += sigma[k] * a[n - k]
+        a[n] = exact_div(24 * acc, n)
+    return a
+
+
+def direct_euler_cube(N: int) -> list[int]:
+    """prod_{n <= N} (1 - q^n)^3 truncated at q^N, one factor (1 - q^n) at a time."""
+    coeffs = [1] + [0] * N
+    for n in range(1, N + 1):
+        for _ in range(3):
+            for i in range(N, n - 1, -1):
+                coeffs[i] -= coeffs[i - n]
+    return coeffs
+
+
+@cache
+def oracle_150() -> tuple[int, ...]:
+    return euler_power_neg24_by_product(150).coeffs
+
+
 def test_divisor_sums_sieve():
     assert divisor_sums(12) == [0, 1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12, 28]
 
@@ -53,7 +86,46 @@ def test_euler_series_positive_and_increasing():
 
 
 def test_recurrence_matches_product_oracle():
-    assert euler_power_neg24(200) == euler_power_neg24_by_product(200)
+    assert euler_power_neg24(400) == euler_power_neg24_by_product(400)
+
+
+def test_jacobi_terms_match_direct_cube():
+    direct = direct_euler_cube(300)
+    for N in range(1, 301):
+        dense = [1] + [0] * N
+        for t, c in qseries._jacobi_cube_terms(N):
+            dense[t] = c
+        assert dense == direct[: N + 1], N
+
+
+def test_jacobi_series_matches_sigma_recurrence():
+    assert list(euler_power_neg24(1000)) == sigma_recurrence(1000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=8))
+@example([1, 2, 1, 150, 150, 149])  # one past the cached length, then hits
+def test_prefix_cache_serves_any_request_order(bounds):
+    qseries._longest = ()
+    for N in bounds:
+        series = euler_power_neg24(N)
+        assert len(series) == N + 1
+        assert series.coeffs == oracle_150()[: N + 1]
+
+
+def test_certificate_catches_a_wrong_jacobi_sign(monkeypatch):
+    terms = qseries._jacobi_cube_terms
+
+    def one_sign_flipped(N):
+        table = terms(N)
+        t, c = table[-1]
+        return table[:-1] + [(t, -c)]
+
+    monkeypatch.setattr(qseries, "_jacobi_cube_terms", one_sign_flipped)
+    monkeypatch.setattr(qseries, "_longest", ())
+    with pytest.raises(ArithmeticError):
+        euler_power_neg24(50)
+    assert qseries._longest == ()
 
 
 def test_yz_multiple_values():
