@@ -1,4 +1,4 @@
-"""Degree multiple n_d of the flex divisor, by four independent methods.
+"""Degree multiple n_d of the flex divisor, by five independent routes.
 
 On a polarized K3 surface of degree 2d, the flex divisor is a multiple
 n_d of the polarization class, with
@@ -24,8 +24,10 @@ This module computes n_d five ways and cross-validates:
 Routes 4 and 5 share the degree-(2d-1) Chern part, which chern_total
 builds from explicit coefficients in O(d^2) bigint operations (a dense
 degree-2d table costs O(d^4 log d)), but integrate independently: route 5
-costs 2d + 2 Pieri steps on elements of O(d) terms, against O(d^3) term
-updates for one Pieri walk per monomial.
+is a Horner sweep of 2d sigma1 steps on one graded piece kept as a
+plain list: O(d) Python-level operations, with the O(d^2) coefficient
+additions done at C level (one Pieri walk per monomial would cost O(d^3)
+term updates).
 The sign of the double sum is not trusted a priori: it is calibrated once
 against the closed form on d = 1..5 and must be consistent across that
 range, otherwise an ArithmeticError flags the build as broken.
@@ -35,9 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from math import comb
+from operator import add, mul
 
 from .exact import binomial, catalan, exact_div, factorial
-from .schubert import SchubertElement, monomial_integral
+from .schubert import monomial_integral
 from .truncpoly import chern_total
 
 
@@ -81,20 +86,16 @@ def _double_sum_raw(d: int) -> int:
         (-1)^(j+1) C(4d+2, j) C(3d-j, 2d+l) C(2d+l, 2l-1) C(2l, l) / (l+1)
 
     The last two factors are the Catalan number C(l), so every term is an
-    integer and the sum needs no rationals.
+    integer and the sum needs no rationals.  C(2d+l, 2l-1) C(l) does not
+    depend on j, so it is built once; each term then costs one binomial and
+    one product, both at C level (l <= d - j keeps every binomial in range).
     """
-    catalans = [catalan(ell) for ell in range(d + 1)]
+    tail = [binomial(2 * d + ell, 2 * ell - 1) * catalan(ell) for ell in range(1, d + 1)]
     total = 0
     for j in range(d + 1):
         sign = -1 if j % 2 == 0 else 1
-        cj = sign * binomial(4 * d + 2, j)
-        for ell in range(1, d - j + 1):
-            total += (
-                cj
-                * binomial(3 * d - j, 2 * d + ell)
-                * binomial(2 * d + ell, 2 * ell - 1)
-                * catalans[ell]
-            )
+        heads = map(comb, repeat(3 * d - j), range(2 * d + 1, 3 * d - j + 1))
+        total += sign * binomial(4 * d + 2, j) * sum(map(mul, heads, tail[: d - j]))
     return total
 
 
@@ -142,18 +143,39 @@ def nd_chern_monomial(d: int) -> int:
     return -total
 
 
+def _sigma1_step(x: list[int], k: int, d: int) -> list[int]:
+    """sigma1 * sum_b x[b] * s_(k-b, b), returned the same way in degree k + 1.
+
+    x holds one graded piece of the 2 x d box: x[b] is the coefficient of
+    s_(k-b, b) for b = 0..k//2, and is 0 where k - b > d.  Pieri adds a box
+    to the first row while k - b < d (clipped at the box) and to the second
+    row while b < k - b.
+    """
+    half = (k + 1) // 2
+    lo = max(0, k + 1 - d)
+    y = [0] * (half + 1)
+    y[lo : len(x)] = x[lo:]
+    # b - 1 -> b for b = 1..half; for even k the last entry of x is the
+    # square s_(k/2, k/2), whose second row cannot grow, so x[:half] stops
+    # short of it.  Both sides have exactly half entries.
+    y[1:] = map(add, y[1:], x[:half])
+    return y
+
+
 def _sigma1_square_horner(d: int, coefs: list[int]) -> int:
     """Integral of sum_n coefs[n] * sigma1^(2d-2n) * sigma2^n, n = 0..d-1.
 
     Horner in sigma1^2 over the Schubert basis: acc <- sigma1^2 * acc +
     coefs[n] * s_(n,n), where s_(n,n) = sigma2^n, then one more sigma1^2
-    and the top-class coefficient.  2d + 2 Pieri steps, each on an element
-    of one degree, so of at most d + 1 terms.
+    and the top-class coefficient.  acc is always a single graded piece,
+    so it is a plain list (see _sigma1_step): 2d list steps, O(d)
+    Python-level operations, the O(d^2) element additions done at C level.
     """
-    acc = SchubertElement(d)
-    for n, coef in enumerate(coefs):
-        acc = acc.pieri_sigma1().pieri_sigma1() + coef * SchubertElement.basis(d, n, n)
-    return acc.pieri_sigma1().pieri_sigma1().integrate()
+    acc = [coefs[0]]
+    for n in range(1, d):
+        acc = _sigma1_step(_sigma1_step(acc, 2 * n - 2, d), 2 * n - 1, d)
+        acc[n] += coefs[n]
+    return _sigma1_step(_sigma1_step(acc, 2 * d - 2, d), 2 * d - 1, d)[d]
 
 
 def nd_chern_schubert(d: int) -> int:

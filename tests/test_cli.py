@@ -186,3 +186,44 @@ def test_output_deterministic(capsys):
     _, first = run_cli(capsys, "table", "--from", "1", "--to", "8", "--format", "json")
     _, second = run_cli(capsys, "table", "--from", "1", "--to", "8", "--format", "json")
     assert first == second
+
+
+def test_parser_reused_without_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--from", "x", "--to", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ("table", "--from", "2", "--to", "5", "--format", "csv")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert first == second
+
+
+def _boom(d):
+    raise RuntimeError(f"internal failure at d={d}")
+
+
+def test_internal_failure_exits_1_without_debug(capsys, monkeypatch):
+    monkeypatch.setattr(cli.flexdeg, "nd_closed", _boom)
+    code = cli.main(["nd", "-d", "3", "--method", "closed"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: internal failure at d=3\n"
+
+
+def test_debug_reraises_with_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(cli.flexdeg, "nd_closed", _boom)
+    with pytest.raises(RuntimeError, match="internal failure at d=3") as exc:
+        cli.main(["--debug", "nd", "-d", "3", "--method", "closed"])
+    assert exc.traceback[-1].name == "_boom"
+    assert capsys.readouterr().err == ""
+
+
+def test_debug_keeps_usage_errors_at_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--debug", "table", "--from", "2", "--to", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()

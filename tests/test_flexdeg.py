@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from flexk3.exact import catalan
 from flexk3.flexdeg import (
     _sigma1_square_horner,
+    _sigma1_step,
     FlexReport,
     cross_check,
     example_checks,
@@ -123,6 +126,20 @@ def test_horner_sweep_matches_pieri_walks(coefs):
     d = len(coefs)
     expected = sum(c * pieri_walk(d, n) for n, c in enumerate(coefs))
     assert _sigma1_square_horner(d, coefs) == expected
+
+
+def test_sigma1_step_matches_pieri_exhaustively():
+    rng = random.Random(4)
+    for d in range(1, 9):
+        for k in range(2 * d):
+            for _ in range(5):
+                # random degree-k piece, zero outside the box (k - b > d)
+                x = [rng.randint(-10**6, 10**6) if k - b <= d else 0 for b in range(k // 2 + 1)]
+                elem = SchubertElement(d, {(k - b, b): c for b, c in enumerate(x) if k - b <= d})
+                want = elem.pieri_sigma1()
+                got = _sigma1_step(x, k, d)
+                assert len(got) == (k + 1) // 2 + 1
+                assert got == [want.coefficient(k + 1 - b, b) for b in range(len(got))], (d, k, x)
 
 
 @pytest.mark.parametrize("d", [60, 100])
