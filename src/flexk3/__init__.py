@@ -7,7 +7,7 @@ and Schubert-calculus intersection numbers), cross-validates them, and
 compares the result against the Yau-Zaslow rational-curve multiples.
 """
 
-from .exact import binomial, catalan, exact_div, factorial
+from .exact import binomial, catalan, exact_div
 from .flexdeg import (
     FlexReport,
     cross_check,
@@ -33,7 +33,7 @@ from .qseries import (
     yz_multiple,
 )
 from .schubert import BoxPartition, SchubertElement, monomial_integral
-from .truncpoly import GradedBivariate, chern_total
+from .truncpoly import chern_total
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "CrossoverReport",
     "CrossoverRow",
     "FlexReport",
-    "GradedBivariate",
     "IntSeries",
     "SchubertElement",
     "asym_flex",
@@ -57,7 +56,6 @@ __all__ = [
     "euler_power_neg24_by_product",
     "exact_div",
     "example_checks",
-    "factorial",
     "flex_report",
     "log_int",
     "monomial_integral",

@@ -53,43 +53,35 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _cell(value: int | bool) -> str:
+def _cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
-def _report_cells(report: FlexReport) -> dict[str, str]:
-    return {name: _cell(getattr(report, name)) for name in TABLE_FIELDS}
+def _print_text_table(header: tuple[str, ...], rows: list[dict[str, object]]) -> None:
+    cells = [[_cell(row[name]) for name in header] for row in rows]
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    print("  ".join(name.ljust(width) for name, width in zip(header, widths)).rstrip())
+    for line in cells:
+        print("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
 
 
-def _print_text_table(header: tuple[str, ...], rows: list[dict[str, str]]) -> None:
-    widths = {name: len(name) for name in header}
-    for row in rows:
-        for name in header:
-            widths[name] = max(widths[name], len(row[name]))
-    print("  ".join(name.ljust(widths[name]) for name in header).rstrip())
-    for row in rows:
-        print("  ".join(row[name].rjust(widths[name]) for name in header))
-
-
-def _print_csv(header: tuple[str, ...], rows: list[dict[str, str]]) -> None:
+def _print_csv(header: tuple[str, ...], rows: list[dict[str, object]]) -> None:
     print(",".join(header))
     for row in rows:
-        print(",".join(row[name] for name in header))
+        print(",".join(_cell(row[name]) for name in header))
 
 
-def _json_table_value(rows: list[dict[str, str]]) -> list[dict[str, object]]:
-    out: list[dict[str, object]] = []
-    for row in rows:
-        obj: dict[str, object] = {}
-        for name, cell in row.items():
-            obj[name] = cell == "true" if name in ("agree", "flex_larger") else cell
-        out.append(obj)
-    return out
+def _json_table_value(rows: list[dict[str, object]]) -> list[dict[str, object]]:
+    """Booleans stay JSON booleans; every other value becomes a string."""
+    return [
+        {name: value if isinstance(value, bool) else str(value) for name, value in row.items()}
+        for row in rows
+    ]
 
 
-def _render_rows(header: tuple[str, ...], rows: list[dict[str, str]], fmt: str) -> None:
+def _render_rows(header: tuple[str, ...], rows: list[dict[str, object]], fmt: str) -> None:
     if fmt == "text":
         _print_text_table(header, rows)
     elif fmt == "csv":
@@ -101,11 +93,11 @@ def _render_rows(header: tuple[str, ...], rows: list[dict[str, str]], fmt: str) 
 def cmd_nd(args: argparse.Namespace) -> int:
     if args.method == "all":
         report = flexdeg.flex_report(args.d)
-        _render_rows(TABLE_FIELDS, [_report_cells(report)], args.format)
+        _render_rows(TABLE_FIELDS, [dataclasses.asdict(report)], args.format)
         return 0 if report.agree else 1
     if args.method == "sum":
         raw, resolved = flexdeg.nd_double_sum(args.d)
-        fields = {"n_sum_raw": str(raw), "n_sum_resolved": str(resolved)}
+        fields = {"n_sum_raw": raw, "n_sum_resolved": resolved}
     else:
         field, func = {
             "closed": ("n_closed", flexdeg.nd_closed),
@@ -113,7 +105,7 @@ def cmd_nd(args: argparse.Namespace) -> int:
             "monomial": ("n_chern_monomial", flexdeg.nd_chern_monomial),
             "schubert": ("n_chern_schubert", flexdeg.nd_chern_schubert),
         }[args.method]
-        fields = {field: str(func(args.d))}
+        fields = {field: func(args.d)}
     if args.format == "text":
         if len(fields) == 1:
             print(next(iter(fields.values())))
@@ -122,7 +114,7 @@ def cmd_nd(args: argparse.Namespace) -> int:
                 print(f"{name} {value}")
     else:
         header = ("d", *fields)
-        row = {"d": str(args.d), **fields}
+        row = {"d": args.d, **fields}
         _render_rows(header, [row], args.format)
     return 0
 
@@ -131,7 +123,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.d_from > args.d_to:
         raise UsageError(f"--from {args.d_from} exceeds --to {args.d_to}")
     reports = flexdeg.cross_check(args.d_from, args.d_to)
-    _render_rows(TABLE_FIELDS, [_report_cells(r) for r in reports], args.format)
+    _render_rows(TABLE_FIELDS, [dataclasses.asdict(r) for r in reports], args.format)
     return 0 if all(r.agree for r in reports) else 1
 
 
@@ -143,7 +135,7 @@ def cmd_yz(args: argparse.Namespace) -> int:
             print(value)
     else:
         header = ("n", "a")
-        rows = [{"n": str(n), "a": str(v)} for n, v in enumerate(values)]
+        rows = [{"n": n, "a": v} for n, v in enumerate(values)]
         _render_rows(header, rows, args.format)
     return 0
 
@@ -151,7 +143,7 @@ def cmd_yz(args: argparse.Namespace) -> int:
 def cmd_crossover(args: argparse.Namespace) -> int:
     report = qseries.crossover(args.max_d)
     header = qseries.CrossoverRow._fields
-    rows = [{name: _cell(value) for name, value in zip(header, r)} for r in report.rows]
+    rows = [r._asdict() for r in report.rows]
     exact = report.first_flex_dominant
     model = report.model_first_flex_dominant
     if exact is None:
@@ -201,7 +193,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
     rows = [
         {
             "kind": kind,
-            "d": str(rep.d),
+            "d": rep.d,
             "log_exact": f"{rep.log_exact:.9f}",
             "log_model": f"{rep.log_model:.9f}",
             "log_ratio": f"{rep.log_ratio:.9f}",

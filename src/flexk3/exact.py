@@ -1,4 +1,4 @@
-"""Exact combinatorial kernel: factorials, binomials, Catalan numbers.
+"""Exact combinatorial kernel: binomials, exact division, Catalan numbers.
 
 Everything here runs on Python's arbitrary-precision integers, so results
 are exact at any size.
@@ -7,13 +7,6 @@ are exact at any size.
 from __future__ import annotations
 
 import math
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0; raises ValueError on negative input."""
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:

@@ -22,12 +22,11 @@ This module computes n_d five ways and cross-validates:
                       the Schubert basis, no closed-form integrals
 
 Routes 4 and 5 share the degree-(2d-1) Chern part, which chern_total
-builds from explicit coefficients in O(d^2) bigint operations (a dense
-degree-2d table costs O(d^4 log d)), but integrate independently: route 5
-is a Horner sweep of 2d sigma1 steps on one graded piece kept as a
-plain list: O(d) Python-level operations, with the O(d^2) coefficient
-additions done at C level (one Pieri walk per monomial would cost O(d^3)
-term updates).
+gives in closed form (d terms, one product of two binomials each), but
+integrate independently: route 5 is a Horner sweep of 2d sigma1 steps
+on one graded piece kept as a plain list: O(d) Python-level operations,
+with the O(d^2) coefficient additions done at C level (one Pieri walk
+per monomial would cost O(d^3) term updates).
 The sign of the double sum is not trusted a priori: it is calibrated once
 against the closed form on d = 1..5 and must be consistent across that
 range, otherwise an ArithmeticError flags the build as broken.
@@ -38,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import comb
+from math import comb, factorial
 from operator import add, mul
 
-from .exact import binomial, catalan, exact_div, factorial
+from .exact import binomial, catalan, exact_div
 from .schubert import monomial_integral
 from .truncpoly import chern_total
 

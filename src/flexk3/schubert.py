@@ -25,9 +25,10 @@ provide an independent route to the same numbers.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterator, NamedTuple
 
-from .exact import exact_div, factorial
+from .exact import exact_div
 
 
 class BoxPartition(NamedTuple):

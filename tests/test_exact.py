@@ -4,19 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from flexk3.exact import binomial, catalan, exact_div, factorial
-
-
-def test_factorial_base_cases():
-    assert factorial(0) == 1
-    assert factorial(1) == 1
-    assert factorial(5) == 120
-    assert factorial(12) == 479001600
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
+from flexk3.exact import binomial, catalan, exact_div
 
 
 def test_binomial_known_values():

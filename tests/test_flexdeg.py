@@ -14,7 +14,6 @@ from flexk3.flexdeg import (
     _sigma1_step,
     FlexReport,
     cross_check,
-    example_checks,
     flex_report,
     nd_chern_monomial,
     nd_chern_schubert,
@@ -65,17 +64,6 @@ def test_rejects_nonpositive_d():
         nd_double_sum(-1)
 
 
-def test_catalan_identity_to_1000():
-    for d in range(1, 1001):
-        assert nd_factorial(d) == (2 * d + 1) * catalan(d) ** 2
-
-
-def test_five_way_agreement_to_40():
-    for report in cross_check(1, 40):
-        assert report.agree
-        assert abs(report.n_sum_raw) == report.n_closed
-
-
 def test_flex_report_fields():
     assert flex_report(4) == FlexReport(4, 1764, 1764, -1764, 1764, 1764, 1764, True)
 
@@ -98,14 +86,6 @@ def test_parity_and_positivity():
         n = nd_closed(d)
         assert n > 0
         assert (n % 2 == 1) == ((2 * d + 1) * catalan(d) ** 2 % 2 == 1)
-
-
-def test_example_checks():
-    assert example_checks()
-    # degree-2 ramification curve and the two quartic flex-locus tallies
-    assert nd_closed(1) ** 2 * 2 == 18
-    assert 48 + 4 * (2 * 4) == 80 == 4 * nd_closed(2)
-    assert 16 * 2 + 48 == 80 == 4 * nd_closed(2)
 
 
 def pieri_walk(d: int, n: int) -> int:
@@ -142,7 +122,7 @@ def test_sigma1_step_matches_pieri_exhaustively():
                 assert got == [want.coefficient(k + 1 - b, b) for b in range(len(got))], (d, k, x)
 
 
-@pytest.mark.parametrize("d", [60, 100])
+@pytest.mark.parametrize("d", [60, 100, 200])
 def test_five_way_agreement_large_d(d):
     report = flex_report(d)
     assert report.agree
