@@ -32,19 +32,17 @@ from .qseries import (
     log_int,
     yz_multiple,
 )
-from .schubert import BoxPartition, SchubertElement, monomial_integral
+from .schubert import monomial_integral
 from .truncpoly import chern_total
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymReport",
-    "BoxPartition",
     "CrossoverReport",
     "CrossoverRow",
     "FlexReport",
     "IntSeries",
-    "SchubertElement",
     "asym_flex",
     "asym_yz",
     "binomial",

@@ -24,9 +24,10 @@ This module computes n_d five ways and cross-validates:
 Routes 4 and 5 share the degree-(2d-1) Chern part, which chern_total
 gives in closed form (d terms, one product of two binomials each), but
 integrate independently: route 5 is a Horner sweep of 2d sigma1 steps
-on one graded piece kept as a plain list: O(d) Python-level operations,
-with the O(d^2) coefficient additions done at C level (one Pieri walk
-per monomial would cost O(d^3) term updates).
+(schubert._sigma1_step, the package's one Pieri engine) on one graded
+piece kept as a plain list: O(d) Python-level operations, with the
+O(d^2) coefficient additions done at C level (one Pieri walk per
+monomial would cost O(d^3) term updates).
 The sign of the double sum is not trusted a priori: it is calibrated once
 against the closed form on d = 1..5 and must be consistent across that
 range, otherwise an ArithmeticError flags the build as broken.
@@ -38,10 +39,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial
-from operator import add, mul
+from operator import mul
 
 from .exact import binomial, catalan, exact_div
-from .schubert import monomial_integral
+from .schubert import _sigma1_step, monomial_integral
 from .truncpoly import chern_total
 
 
@@ -142,32 +143,13 @@ def nd_chern_monomial(d: int) -> int:
     return -total
 
 
-def _sigma1_step(x: list[int], k: int, d: int) -> list[int]:
-    """sigma1 * sum_b x[b] * s_(k-b, b), returned the same way in degree k + 1.
-
-    x holds one graded piece of the 2 x d box: x[b] is the coefficient of
-    s_(k-b, b) for b = 0..k//2, and is 0 where k - b > d.  Pieri adds a box
-    to the first row while k - b < d (clipped at the box) and to the second
-    row while b < k - b.
-    """
-    half = (k + 1) // 2
-    lo = max(0, k + 1 - d)
-    y = [0] * (half + 1)
-    y[lo : len(x)] = x[lo:]
-    # b - 1 -> b for b = 1..half; for even k the last entry of x is the
-    # square s_(k/2, k/2), whose second row cannot grow, so x[:half] stops
-    # short of it.  Both sides have exactly half entries.
-    y[1:] = map(add, y[1:], x[:half])
-    return y
-
-
 def _sigma1_square_horner(d: int, coefs: list[int]) -> int:
     """Integral of sum_n coefs[n] * sigma1^(2d-2n) * sigma2^n, n = 0..d-1.
 
     Horner in sigma1^2 over the Schubert basis: acc <- sigma1^2 * acc +
     coefs[n] * s_(n,n), where s_(n,n) = sigma2^n, then one more sigma1^2
     and the top-class coefficient.  acc is always a single graded piece,
-    so it is a plain list (see _sigma1_step): 2d list steps, O(d)
+    so it is a plain list (see schubert._sigma1_step): 2d list steps, O(d)
     Python-level operations, the O(d^2) element additions done at C level.
     """
     acc = [coefs[0]]

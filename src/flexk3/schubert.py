@@ -19,127 +19,22 @@ Multiplication by either generator acts on the basis by adding boxes
 Integration over G extracts the coefficient of the top class s_(d,d).
 The integral of a pure monomial sigma1^m * sigma2^n of top degree
 (m + 2n = 2d) has the closed form m! / ((m/2)! (m/2+1)!), a Catalan
-number; monomial_integral implements it and the iterated Pieri operators
-provide an independent route to the same numbers.
+number; monomial_integral implements it.
+
+A class of degree k is one graded piece, kept as a plain list x of
+length k//2 + 1: x[b] is the coefficient of s_(k-b, b), and x[b] is 0
+where k - b > d.  So sigma2^n = s_(n,n) is [0] * n + [1] in degree 2n,
+and after degree 2d the integral is x[d].  _sigma1_step applies the
+sigma1 Pieri rule to one such piece; iterating it gives an independent
+route to the monomial integrals.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterator, NamedTuple
+from operator import add
 
 from .exact import exact_div
-
-
-class BoxPartition(NamedTuple):
-    """Two-row partition (a, b); valid inside box d when d >= a >= b >= 0."""
-
-    a: int
-    b: int
-
-    def degree(self) -> int:
-        return self.a + self.b
-
-    def in_box(self, d: int) -> bool:
-        return d >= self.a >= self.b >= 0
-
-
-class SchubertElement:
-    """Integer linear combination of Schubert classes inside a 2 x d box.
-
-    Immutable in practice: all operations return new elements.  Zero
-    coefficients are never stored.
-    """
-
-    __slots__ = ("box", "terms")
-
-    def __init__(self, box: int, terms: dict[BoxPartition, int] | None = None):
-        if box < 1:
-            raise ValueError(f"box size must be positive, got {box}")
-        self.box = box
-        clean: dict[BoxPartition, int] = {}
-        for key, coef in (terms or {}).items():
-            part = BoxPartition(*key)
-            if not part.in_box(box):
-                raise ValueError(f"partition {part} outside 2 x {box} box")
-            if coef:
-                clean[part] = clean.get(part, 0) + coef
-        self.terms = {p: c for p, c in clean.items() if c}
-
-    @classmethod
-    def one(cls, box: int) -> "SchubertElement":
-        """The fundamental class s_(0,0)."""
-        return cls(box, {BoxPartition(0, 0): 1})
-
-    @classmethod
-    def basis(cls, box: int, a: int, b: int) -> "SchubertElement":
-        return cls(box, {BoxPartition(a, b): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, a: int, b: int) -> int:
-        return self.terms.get(BoxPartition(a, b), 0)
-
-    def items(self) -> Iterator[tuple[BoxPartition, int]]:
-        return iter(sorted(self.terms.items()))
-
-    def degrees(self) -> set[int]:
-        """Set of degrees a + b present with nonzero coefficient."""
-        return {p.degree() for p in self.terms}
-
-    def pieri_sigma1(self) -> "SchubertElement":
-        """Multiply by sigma1: add one box to either row, stay in the box."""
-        d = self.box
-        out: dict[BoxPartition, int] = {}
-        for (a, b), coef in self.terms.items():
-            if a + 1 <= d:
-                key = BoxPartition(a + 1, b)
-                out[key] = out.get(key, 0) + coef
-            if b + 1 <= a:
-                key = BoxPartition(a, b + 1)
-                out[key] = out.get(key, 0) + coef
-        return SchubertElement(d, out)
-
-    def mul_sigma2(self) -> "SchubertElement":
-        """Multiply by sigma2: add a full column, stay in the box."""
-        d = self.box
-        out: dict[BoxPartition, int] = {}
-        for (a, b), coef in self.terms.items():
-            if a + 1 <= d:
-                key = BoxPartition(a + 1, b + 1)
-                out[key] = out.get(key, 0) + coef
-        return SchubertElement(d, out)
-
-    def integrate(self) -> int:
-        """Coefficient of the top class s_(d,d)."""
-        return self.terms.get(BoxPartition(self.box, self.box), 0)
-
-    def __add__(self, other: "SchubertElement") -> "SchubertElement":
-        if not isinstance(other, SchubertElement):
-            return NotImplemented
-        if self.box != other.box:
-            raise ValueError(f"box mismatch: {self.box} vs {other.box}")
-        merged = dict(self.terms)
-        for part, coef in other.terms.items():
-            merged[part] = merged.get(part, 0) + coef
-        return SchubertElement(self.box, merged)
-
-    def __rmul__(self, scalar: int) -> "SchubertElement":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return SchubertElement(self.box, {p: scalar * c for p, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchubertElement):
-            return NotImplemented
-        return self.box == other.box and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"SchubertElement(box={self.box}, 0)"
-        body = " + ".join(f"{c}*s_({p.a},{p.b})" for p, c in sorted(self.terms.items()))
-        return f"SchubertElement(box={self.box}, {body})"
 
 
 def monomial_integral(m: int, n: int, d: int) -> int:
@@ -156,3 +51,23 @@ def monomial_integral(m: int, n: int, d: int) -> int:
         raise ValueError(f"degree {m} + 2*{n} != 2*{d}, not a top-degree monomial")
     h = m // 2
     return exact_div(factorial(m), factorial(h) * factorial(h + 1))
+
+
+# Private: bench/tracer.py spans public functions, 2d spans per nd_chern_schubert call.
+def _sigma1_step(x: list[int], k: int, d: int) -> list[int]:
+    """sigma1 * sum_b x[b] * s_(k-b, b), returned the same way in degree k + 1.
+
+    x holds one graded piece of the 2 x d box: x[b] is the coefficient of
+    s_(k-b, b) for b = 0..k//2, and is 0 where k - b > d.  Pieri adds a box
+    to the first row while k - b < d (clipped at the box) and to the second
+    row while b < k - b.
+    """
+    half = (k + 1) // 2
+    lo = max(0, k + 1 - d)
+    y = [0] * (half + 1)
+    y[lo : len(x)] = x[lo:]
+    # b - 1 -> b for b = 1..half; for even k the last entry of x is the
+    # square s_(k/2, k/2), whose second row cannot grow, so x[:half] stops
+    # short of it.  Both sides have exactly half entries.
+    y[1:] = map(add, y[1:], x[:half])
+    return y
