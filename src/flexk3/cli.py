@@ -4,9 +4,12 @@ Subcommands: nd, table, yz, crossover, asym, selftest, each accepting
 --format {text|csv|json}.  Exit codes are fixed: 0 success or agreement,
 1 cross-check disagreement or internal failure, 2 usage error.  The
 top-level --debug flag re-raises an internal failure with its traceback
-instead of printing it as one error line with exit code 1.  All
-integers are printed in full decimal; json renders them as decimal
-strings so consumers never lose precision.
+instead of printing it as one error line with exit code 1.  selftest
+checks the double-sum sign for d <= 25, five-way agreement for
+d <= 120, the Pieri step for d <= 10, the q-series product oracle
+through q^400 and the example bookkeeping.  All integers are printed
+in full decimal; json renders them as decimal strings so consumers
+never lose precision.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import dataclasses
 import functools
 import json
 import sys
+from math import comb
 from typing import Callable
 
 from . import flexdeg, qseries
@@ -213,13 +217,24 @@ def _check_double_sum() -> None:
 
 
 def _check_five_way() -> None:
-    for report in flexdeg.cross_check(1, 60):
+    for report in flexdeg.cross_check(1, 120):
         if not report.agree:
             raise AssertionError(f"methods disagree at d={report.d}: {report}")
 
 
 def _check_pieri_integral() -> None:
     for d in range(1, 11):
+        # sigma1^k has the ballot number C(k, b) - C(k, b-1) on s_(k-b, b),
+        # and 0 where the first row k - b leaves the box.
+        x = [1]
+        for k in range(1, 2 * d + 1):
+            x = _sigma1_step(x, k - 1, d)
+            want = [
+                (comb(k, b) - comb(k, b - 1) if b else 1) if k - b <= d else 0
+                for b in range(k // 2 + 1)
+            ]
+            if x != want:
+                raise AssertionError(f"d={d}: sigma1^{k} is {x}, expected {want}")
         for n in range(d + 1):
             m = 2 * d - 2 * n
             x = [0] * n + [1]  # sigma2^n = s_(n,n) in degree 2n

@@ -9,11 +9,16 @@ n_d of the polarization class, with
 This module computes n_d five ways and cross-validates:
 
   1. nd_closed        the Catalan closed form above
-  2. nd_factorial     the factorial quotient, divisions asserted exact
+  2. nd_factorial     the factorial quotient, division asserted exact;
+                      (2d)! and d! are built once each, so it costs two
+                      factorials where it cost four
   3. nd_double_sum    an alternating double binomial sum; the printed
                       formula evaluates to a consistent sign times n_d,
                       so both the raw value and the sign-resolved value
-                      are reported
+                      are reported.  Its binomials C(3d-j, 2d+l) are
+                      stepped as rows of Pascal's triangle: d^2/2 C-level
+                      additions and d^2/2 big products, where it took
+                      d^2/2 math.comb calls on ~3d-bit values
   4. nd_chern_monomial   intersection theory: expand the total Chern
                       class of the relevant tautological bundle, pair its
                       degree-(2d-1) part against sigma1 using the
@@ -37,11 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 
-from .exact import binomial, catalan, exact_div
+from .exact import catalan, exact_div
 from .schubert import _sigma1_step, monomial_integral
 from .truncpoly import chern_total
 
@@ -72,10 +76,22 @@ def nd_closed(d: int) -> int:
 
 
 def nd_factorial(d: int) -> int:
-    """(2d)! (2d+1)! / (d!^2 (d+1)!^2), division asserted exact."""
+    """(2d)! (2d+1)! / (d!^2 (d+1)!^2), division asserted exact.
+
+    (2d)! and d! are each built once, and (2d+1)! = (2d+1) (2d)! and
+    (d+1)! = (d+1) d! are small multiples of them, so the numerator is
+    (2d+1) ((2d)!)^2 and the denominator ((d+1) (d!)^2)^2.  The route
+    costs two factorials, three squares and the one asserted division of
+    the printed numerator by the printed denominator (it was four
+    factorials, two squares and two products).  It takes no binomial, no
+    Catalan number and no cancellation, so it shares nothing with
+    nd_closed.
+    """
     _require_positive(d)
-    num = factorial(2 * d) * factorial(2 * d + 1)
-    den = factorial(d) ** 2 * factorial(d + 1) ** 2
+    fact_2d = factorial(2 * d)
+    fact_d = factorial(d)
+    num = (2 * d + 1) * fact_2d ** 2
+    den = ((d + 1) * fact_d ** 2) ** 2
     return exact_div(num, den)
 
 
@@ -87,15 +103,23 @@ def _double_sum_raw(d: int) -> int:
 
     The last two factors are the Catalan number C(l), so every term is an
     integer and the sum needs no rationals.  C(2d+l, 2l-1) C(l) does not
-    depend on j, so it is built once; each term then costs one binomial and
-    one product, both at C level (l <= d - j keeps every binomial in range).
+    depend on j, so it is built once.  The heads C(3d-j, 2d+l), l = 0..d-j,
+    are one row of Pascal's triangle, and the row for j comes from the row
+    for j + 1 by Pascal's rule: one C-level pass of additions, one binomial
+    for the l = 0 edge and the 1 at the far edge.  So the sweep runs j = d
+    down to 0 (j = d has no terms), and each term costs one product and no
+    binomial: d^2/2 C-level additions, d^2/2 big products and 3d binomials
+    in all, where taking each head by math.comb made d^2/2 binomial calls
+    on ~3d-bit values.  The terms are the printed ones, so the raw value
+    is the same integer.
     """
-    tail = [binomial(2 * d + ell, 2 * ell - 1) * catalan(ell) for ell in range(1, d + 1)]
+    tail = [comb(2 * d + ell, 2 * ell - 1) * catalan(ell) for ell in range(1, d + 1)]
     total = 0
-    for j in range(d + 1):
+    row = [1]  # C(2d, 2d + l) for j = d: the only head is l = 0
+    for j in range(d - 1, -1, -1):
+        row = [comb(3 * d - j, 2 * d)] + list(map(add, row[1:], row[:-1])) + [1]
         sign = -1 if j % 2 == 0 else 1
-        heads = map(comb, repeat(3 * d - j), range(2 * d + 1, 3 * d - j + 1))
-        total += sign * binomial(4 * d + 2, j) * sum(map(mul, heads, tail[: d - j]))
+        total += sign * comb(4 * d + 2, j) * sum(map(mul, row[1:], tail))
     return total
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import repeat
+from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,10 @@ from hypothesis import strategies as st
 
 from schubert_reference import mul_sigma2, pieri_sigma1
 
-from flexk3.exact import catalan
+from flexk3 import flexdeg
+from flexk3.exact import catalan, exact_div
 from flexk3.flexdeg import (
+    _double_sum_raw,
     _sigma1_square_horner,
     FlexReport,
     cross_check,
@@ -40,6 +45,54 @@ def test_double_sum_raw_sign_discrepancy():
     raw, resolved = nd_double_sum(1)
     assert raw == -3
     assert resolved == 3
+
+
+def double_sum_by_comb(d: int) -> int:
+    """The printed double sum with every head C(3d-j, 2d+l) taken by math.comb:
+    the form _double_sum_raw had before its Pascal-row sweep, kept as a reference."""
+    tail = [comb(2 * d + ell, 2 * ell - 1) * catalan(ell) for ell in range(1, d + 1)]
+    total = 0
+    for j in range(d + 1):
+        sign = -1 if j % 2 == 0 else 1
+        heads = map(comb, repeat(3 * d - j), range(2 * d + 1, 3 * d - j + 1))
+        total += sign * comb(4 * d + 2, j) * sum(map(mul, heads, tail[: d - j]))
+    return total
+
+
+def four_factorial_terms(d: int) -> tuple[int, int]:
+    """(2d)! (2d+1)! and d!^2 (d+1)!^2 from four separate factorials: the form
+    nd_factorial had before it built each factorial once, kept as a reference."""
+    num = factorial(2 * d) * factorial(2 * d + 1)
+    den = factorial(d) ** 2 * factorial(d + 1) ** 2
+    return num, den
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60))
+def test_pascal_sweep_matches_comb_form(d):
+    assert _double_sum_raw(d) == double_sum_by_comb(d)
+
+
+def test_pascal_sweep_matches_comb_form_d200():
+    assert _double_sum_raw(200) == double_sum_by_comb(200)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2000))
+def test_factorial_matches_four_factorial_quotient(d):
+    assert nd_factorial(d) == exact_div(*four_factorial_terms(d))
+
+
+def test_factorial_makes_one_asserted_division(monkeypatch):
+    calls = []
+
+    def recording_div(a, b):
+        calls.append((a, b))
+        return exact_div(a, b)
+
+    monkeypatch.setattr(flexdeg, "exact_div", recording_div)
+    assert nd_factorial(7) == ND_FIRST_NINE[6]
+    assert calls == [four_factorial_terms(7)]
 
 
 def test_double_sum_matches_table():
@@ -122,7 +175,7 @@ def test_sigma1_step_matches_pieri_exhaustively():
                 assert got == [want.get((k + 1 - b, b), 0) for b in range(len(got))], (d, k, x)
 
 
-@pytest.mark.parametrize("d", [60, 100, 200])
+@pytest.mark.parametrize("d", [60, 100, 200, 400])
 def test_five_way_agreement_large_d(d):
     report = flex_report(d)
     assert report.agree
