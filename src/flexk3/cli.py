@@ -5,20 +5,24 @@ Subcommands: nd, table, yz, crossover, asym, selftest, each accepting
 1 cross-check disagreement or internal failure, 2 usage error.  The
 top-level --debug flag re-raises an internal failure with its traceback
 instead of printing it as one error line with exit code 1.  selftest
-checks the double-sum sign for d <= 25, five-way agreement for
-d <= 120, the Pieri step for d <= 10, the q-series product oracle
-through q^400 and the example bookkeeping.  All integers are printed
-in full decimal; json renders them as decimal strings so consumers
-never lose precision.
+runs SELFTEST_CHECKS: the raw double sum pinned at -n_d for d <= 25,
+five-way agreement for d <= 120, the Pieri step for d <= 12, the
+q-series product oracle through q^400 and the example bookkeeping; in
+csv and json it prints one row per check (name, status, seconds,
+detail).  The acceptance suite runs the same registry.  All integers
+are printed in full decimal; json renders them as decimal strings so
+consumers never lose precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
 import sys
+import time
 from math import comb
 from typing import Callable
 
@@ -72,9 +76,9 @@ def _print_text_table(header: tuple[str, ...], rows: list[dict[str, object]]) ->
 
 
 def _print_csv(header: tuple[str, ...], rows: list[dict[str, object]]) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_cell(row[name]) for name in header))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(row[name]) for name in header] for row in rows)
 
 
 def _json_table_value(rows: list[dict[str, object]]) -> list[dict[str, object]]:
@@ -209,21 +213,24 @@ def cmd_asym(args: argparse.Namespace) -> int:
 
 
 def _check_double_sum() -> None:
+    """The printed double sum is -n_d and resolves to n_d for d <= 25."""
     for d in range(1, 26):
         raw, resolved = flexdeg.nd_double_sum(d)
         target = flexdeg.nd_closed(d)
-        if resolved != target or abs(raw) != target:
-            raise AssertionError(f"d={d}: raw={raw} resolved={resolved} expected {target}")
+        if raw != -target or resolved != target:
+            raise AssertionError(f"d={d}: raw={raw} resolved={resolved}, want -{target}, {target}")
 
 
 def _check_five_way() -> None:
+    """The five routes give the same n_d for d <= 120."""
     for report in flexdeg.cross_check(1, 120):
         if not report.agree:
             raise AssertionError(f"methods disagree at d={report.d}: {report}")
 
 
 def _check_pieri_integral() -> None:
-    for d in range(1, 11):
+    """Pieri walks match the ballot numbers and the closed-form integrals for d <= 12."""
+    for d in range(1, 13):
         # sigma1^k has the ballot number C(k, b) - C(k, b-1) on s_(k-b, b),
         # and 0 where the first row k - b leaves the box.
         x = [1]
@@ -247,11 +254,13 @@ def _check_pieri_integral() -> None:
 
 
 def _check_qseries_product() -> None:
+    """The Jacobi-cube series equals the product oracle through q^400."""
     if qseries.euler_power_neg24(400) != qseries.euler_power_neg24_by_product(400):
         raise AssertionError("Jacobi-cube and product series differ through q^400")
 
 
 def _check_examples() -> None:
+    """The ramification square 18 and both quartic flex tallies 80 match n_1 and n_2."""
     if not flexdeg.example_checks():
         raise AssertionError("geometric bookkeeping identities failed")
 
@@ -265,17 +274,29 @@ SELFTEST_CHECKS: list[tuple[str, Callable[[], None]]] = [
 ]
 
 
+def run_check(name: str, check: Callable[[], None]) -> tuple[str, str, float, str]:
+    """Run one check: (name, PASS or FAIL, seconds, its criterion or the failure message)."""
+    start = time.perf_counter()
+    try:
+        check()
+    except Exception as exc:
+        status, detail = "FAIL", str(exc)
+    else:
+        status, detail = "PASS", check.__doc__ or ""
+    return name, status, time.perf_counter() - start, detail
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
-    failed = False
+    header = ("name", "status", "seconds", "detail")
+    rows = []
     for name, check in SELFTEST_CHECKS:
-        try:
-            check()
-        except Exception as exc:
-            failed = True
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}")
-    return 1 if failed else 0
+        name, status, seconds, detail = run_check(name, check)
+        if args.format == "text":
+            print(f"FAIL {name}: {detail}" if status == "FAIL" else f"PASS {name}")
+        rows.append(dict(zip(header, (name, status, f"{seconds:.3f}", detail))))
+    if args.format != "text":
+        _render_rows(header, rows, args.format)
+    return 0 if all(row["status"] == "PASS" for row in rows) else 1
 
 
 @functools.cache

@@ -11,14 +11,13 @@ This module computes n_d five ways and cross-validates:
   1. nd_closed        the Catalan closed form above
   2. nd_factorial     the factorial quotient, division asserted exact;
                       (2d)! and d! are built once each, so it costs two
-                      factorials where it cost four
+                      factorials
   3. nd_double_sum    an alternating double binomial sum; the printed
                       formula evaluates to a consistent sign times n_d,
                       so both the raw value and the sign-resolved value
                       are reported.  Its binomials C(3d-j, 2d+l) are
                       stepped as rows of Pascal's triangle: d^2/2 C-level
-                      additions and d^2/2 big products, where it took
-                      d^2/2 math.comb calls on ~3d-bit values
+                      additions and d^2/2 big products
   4. nd_chern_monomial   intersection theory: expand the total Chern
                       class of the relevant tautological bundle, pair its
                       degree-(2d-1) part against sigma1 using the
@@ -82,10 +81,9 @@ def nd_factorial(d: int) -> int:
     (d+1)! = (d+1) d! are small multiples of them, so the numerator is
     (2d+1) ((2d)!)^2 and the denominator ((d+1) (d!)^2)^2.  The route
     costs two factorials, three squares and the one asserted division of
-    the printed numerator by the printed denominator (it was four
-    factorials, two squares and two products).  It takes no binomial, no
-    Catalan number and no cancellation, so it shares nothing with
-    nd_closed.
+    the printed numerator by the printed denominator.  It takes no
+    binomial, no Catalan number and no cancellation, so it shares nothing
+    with nd_closed.
     """
     _require_positive(d)
     fact_2d = factorial(2 * d)
@@ -109,9 +107,8 @@ def _double_sum_raw(d: int) -> int:
     for the l = 0 edge and the 1 at the far edge.  So the sweep runs j = d
     down to 0 (j = d has no terms), and each term costs one product and no
     binomial: d^2/2 C-level additions, d^2/2 big products and 3d binomials
-    in all, where taking each head by math.comb made d^2/2 binomial calls
-    on ~3d-bit values.  The terms are the printed ones, so the raw value
-    is the same integer.
+    in all.  The terms are the printed ones, so the raw value is the same
+    integer.
     """
     tail = [comb(2 * d + ell, 2 * ell - 1) * catalan(ell) for ell in range(1, d + 1)]
     total = 0

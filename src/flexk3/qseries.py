@@ -12,8 +12,7 @@ Coefficients come from Jacobi's identity (Hardy and Wright, Thm 357)
 whose nonzero terms are only the ~sqrt(2N) triangular exponents up to
 q^N.  P = 1 / E3^8 is eight in-place exact divisions by that sparse
 series: O(N^(3/2)) small-times-bigint operations, 0.66 million at
-N = 2000 against 2.0 million for the divisor-sum recurrence this module
-used before.  Each build is certified at its top index by the
+N = 2000.  Each build is certified at its top index by the
 logarithmic-derivative identity
 
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
@@ -170,7 +169,7 @@ def euler_power_neg24(N: int) -> IntSeries:
     slice of it.  A longer one is built to exactly N, by eight divisions
     by Jacobi's sparse series for prod (1 - q^n)^3, certified at q^N by
     the divisor-sum identity, and replaces it.  A build costs
-    O(N^(3/2)) bigint operations (the sigma recurrence cost O(N^2)).
+    O(N^(3/2)) bigint operations.
     """
     global _longest
     if N < 1:
@@ -191,10 +190,8 @@ def euler_power_neg24_by_product(N: int) -> IntSeries:
     prod_{n <= N} (1 - q^n)^24 is expanded factor by factor, each factor
     as sum_j (-1)^j C(24, j) q^(nj): about 1.9 N^2 operations on integers
     of a few machine words.  The unit-constant result is then inverted
-    term by term, N^2 / 2 bigint products.  Multiplying out the factors
-    (1 - q^n)^(-24) themselves, as this oracle did before, cost
-    O(N^2 log N) bigint operations.  No series identity is used, so this
-    stays independent of euler_power_neg24.
+    term by term, N^2 / 2 bigint products.  No series identity is used,
+    so this stays independent of euler_power_neg24.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
@@ -254,8 +251,6 @@ def asym_flex(d: int) -> AsymReport:
 
 def asym_yz(d: int) -> AsymReport:
     """Compare ln yz_d against the Yau-Zaslow growth model."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
     log_exact = log_int(yz_multiple(d))
     log_model = yz_log_model(d)
     return AsymReport(d, log_exact, log_model, log_exact - log_model)

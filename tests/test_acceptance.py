@@ -3,7 +3,9 @@
 Each test prints a PASS line with its measured runtime directly to the
 terminal (bypassing capture), so a `pytest tests/test_acceptance.py -v`
 run shows one line per criterion from pytest plus the timing summary.
-Runtime budgets are asserted, not just reported.
+Runtime budgets are asserted, not just reported.  The built-in
+`selftest` criteria are not restated here: test_selftest_check runs each
+entry of cli.SELFTEST_CHECKS through cli.run_check.
 """
 
 from __future__ import annotations
@@ -12,19 +14,23 @@ import csv
 import io
 import time
 
+import pytest
+
 from flexk3 import cli
 from flexk3.exact import catalan
-from flexk3.flexdeg import (
-    cross_check,
-    example_checks,
-    nd_closed,
-    nd_double_sum,
-    nd_factorial,
-)
-from flexk3.qseries import asym_flex, asym_yz, euler_power_neg24, euler_power_neg24_by_product
-from flexk3.schubert import _sigma1_step, monomial_integral
+from flexk3.flexdeg import nd_factorial
+from flexk3.qseries import asym_flex, asym_yz
 
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
+
+# Seconds allowed per registry check; an entry missing here fails its test.
+SELFTEST_BUDGETS = {
+    "double-sum": 5,
+    "five-way": 120,
+    "pieri-integral": 20,
+    "qseries-product": 30,
+    "example-checks": 5,
+}
 
 
 def announce(capsys, name: str, detail: str, elapsed: float, budget: float) -> None:
@@ -50,23 +56,6 @@ def test_flex_table_reproduction(capsys):
              "nine rows exact in every method column, agree=true", elapsed, 5)
 
 
-def test_five_way_agreement_d40(capsys):
-    start = time.monotonic()
-    reports = cross_check(1, 40)
-    for report in reports:
-        assert report.n_closed == report.n_factorial
-        assert abs(report.n_sum_raw) == report.n_closed
-        assert report.n_sum_resolved == report.n_closed
-        assert report.n_chern_monomial == report.n_closed
-        assert report.n_chern_schubert == report.n_closed
-        assert report.agree
-    elapsed = time.monotonic() - start
-    assert elapsed < 120.0
-    announce(capsys, "five-way-agreement",
-             "closed, factorial, |sum|, Chern-monomial, Chern-Schubert equal for d=1..40",
-             elapsed, 120)
-
-
 def test_catalan_identity_d1000(capsys):
     start = time.monotonic()
     for d in range(1, 1001):
@@ -75,46 +64,6 @@ def test_catalan_identity_d1000(capsys):
     assert elapsed < 30.0
     announce(capsys, "catalan-identity",
              "(2d)!(2d+1)!/(d!^2 (d+1)!^2) = (2d+1) C(d)^2 for d=1..1000", elapsed, 30)
-
-
-def test_schubert_integral_oracle_d12(capsys):
-    start = time.monotonic()
-    for d in range(1, 13):
-        for n in range(d + 1):
-            m = 2 * d - 2 * n
-            x = [0] * n + [1]  # sigma2^n = s_(n,n) in degree 2n
-            for k in range(2 * n, 2 * d):
-                x = _sigma1_step(x, k, d)
-            assert x[d] == monomial_integral(m, n, d)
-    elapsed = time.monotonic() - start
-    assert elapsed < 20.0
-    announce(capsys, "schubert-integral-oracle",
-             "iterated Pieri equals m!/((m/2)!(m/2+1)!) for all monomials, d<=12",
-             elapsed, 20)
-
-
-def test_double_sum_sign_and_table(capsys):
-    start = time.monotonic()
-    raw_1, _ = nd_double_sum(1)
-    assert raw_1 == -3
-    for d, expected in enumerate(ND_FIRST_NINE, start=1):
-        _, resolved = nd_double_sum(d)
-        assert resolved == expected
-    elapsed = time.monotonic() - start
-    announce(capsys, "double-sum-sign",
-             "raw d=1 value is -3; resolved values match the table for d=1..9",
-             elapsed, 5)
-
-
-def test_qseries_oracle(capsys):
-    start = time.monotonic()
-    series = euler_power_neg24(200)
-    assert series == euler_power_neg24_by_product(200)
-    assert (series[0], series[1], series[2]) == (1, 24, 324)
-    elapsed = time.monotonic() - start
-    announce(capsys, "qseries-oracle",
-             "recurrence equals truncated product through q^200; a(0..2) = 1, 24, 324",
-             elapsed, 30)
 
 
 def test_crossover_report(capsys):
@@ -133,6 +82,7 @@ def test_crossover_report(capsys):
     first = min(d for d, larger in flags.items() if larger)
     assert all(flags[d] for d in range(first, 65))
     elapsed = time.monotonic() - start
+    assert elapsed < 30.0
     announce(capsys, "crossover-report",
              f"switch at d={first}, permanent through d=64, claimed window printed",
              elapsed, 30)
@@ -152,14 +102,12 @@ def test_asymptotics(capsys):
              elapsed, 120)
 
 
-def test_example_bookkeeping(capsys):
-    start = time.monotonic()
-    assert example_checks()
-    n1, n2 = nd_closed(1), nd_closed(2)
-    assert n1 ** 2 * 2 == 18
-    assert 48 + 2 * 4 * 4 == 80 == 4 * n2
-    assert 2 * 16 + 48 == 80 == 4 * n2
-    elapsed = time.monotonic() - start
-    announce(capsys, "example-bookkeeping",
-             "ramification square 18 and both quartic flex tallies equal 80 = 4 n_2",
-             elapsed, 5)
+@pytest.mark.parametrize("name, check", cli.SELFTEST_CHECKS,
+                         ids=[name for name, _ in cli.SELFTEST_CHECKS])
+def test_selftest_check(capsys, name, check):
+    assert name in SELFTEST_BUDGETS, f"registry check {name!r} has no budget"
+    budget = SELFTEST_BUDGETS[name]
+    _, status, elapsed, detail = cli.run_check(name, check)
+    assert status == "PASS", detail
+    assert elapsed < budget
+    announce(capsys, name, detail, elapsed, budget)

@@ -166,9 +166,7 @@ def test_asym_both_kinds_csv(capsys):
 def test_selftest_passes(capsys):
     code, out = run_cli(capsys, "selftest")
     assert code == 0
-    for name in ("double-sum", "five-way", "pieri-integral",
-                 "qseries-product", "example-checks"):
-        assert f"PASS {name}" in out
+    assert out == "".join(f"PASS {name}\n" for name, _ in cli.SELFTEST_CHECKS)
 
 
 def test_selftest_names_failing_check(capsys, monkeypatch):
@@ -180,6 +178,31 @@ def test_selftest_names_failing_check(capsys, monkeypatch):
     code, out = run_cli(capsys, "selftest")
     assert code == 1
     assert "FAIL double-sum" in out
+
+
+def test_selftest_json_one_row_per_check(capsys):
+    code, out = run_cli(capsys, "selftest", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["name"] for row in rows] == [name for name, _ in cli.SELFTEST_CHECKS]
+    for row in rows:
+        assert set(row) == {"name", "status", "seconds", "detail"}
+        assert row["status"] == "PASS"
+        float(row["seconds"])
+
+
+def test_selftest_csv_failure_row(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("sign unresolved, raw=3")
+
+    monkeypatch.setattr(cli, "SELFTEST_CHECKS", [("double-sum", broken)])
+    code, out = run_cli(capsys, "selftest", "--format", "csv")
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1
+    assert rows[0]["name"] == "double-sum"
+    assert rows[0]["status"] == "FAIL"
+    assert rows[0]["detail"] == "sign unresolved, raw=3"
 
 
 def test_output_deterministic(capsys):
