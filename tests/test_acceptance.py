@@ -4,8 +4,8 @@ Each test prints a PASS line with its measured runtime directly to the
 terminal (bypassing capture), so a `pytest tests/test_acceptance.py -v`
 run shows one line per criterion from pytest plus the timing summary.
 Runtime budgets are asserted, not just reported.  The built-in
-`selftest` criteria are not restated here: test_selftest_check runs each
-entry of cli.SELFTEST_CHECKS through cli.run_check.
+`selftest` criteria are defined once, in cli.SELFTEST_CHECKS:
+test_selftest_check runs each entry through cli.run_check.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import pytest
 
 from flexk3 import cli
 from flexk3.exact import catalan
-from flexk3.flexdeg import nd_factorial
-from flexk3.qseries import asym_flex, asym_yz
+from flexk3.flexdeg import nd_double_sum, nd_factorial
+from flexk3.qseries import asym_flex, asym_yz, euler_power_neg24, euler_power_neg24_by_product
 
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
 
@@ -64,6 +64,32 @@ def test_catalan_identity_d1000(capsys):
     assert elapsed < 30.0
     announce(capsys, "catalan-identity",
              "(2d)!(2d+1)!/(d!^2 (d+1)!^2) = (2d+1) C(d)^2 for d=1..1000", elapsed, 30)
+
+
+def test_double_sum_sign_and_table(capsys):
+    start = time.monotonic()
+    raw_1, _ = nd_double_sum(1)
+    assert raw_1 == -3
+    for d, expected in enumerate(ND_FIRST_NINE, start=1):
+        _, resolved = nd_double_sum(d)
+        assert resolved == expected
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0
+    announce(capsys, "double-sum-sign",
+             "raw d=1 value is -3; resolved values match the table for d=1..9",
+             elapsed, 5)
+
+
+def test_qseries_oracle(capsys):
+    start = time.monotonic()
+    series = euler_power_neg24(200)
+    assert series == euler_power_neg24_by_product(200)
+    assert (series[0], series[1], series[2]) == (1, 24, 324)
+    elapsed = time.monotonic() - start
+    assert elapsed < 30.0
+    announce(capsys, "qseries-oracle",
+             "recurrence equals truncated product through q^200; a(0..2) = 1, 24, 324",
+             elapsed, 30)
 
 
 def test_crossover_report(capsys):

@@ -40,6 +40,13 @@ def test_factorial_matches_table():
     assert [nd_factorial(d) for d in range(1, 10)] == ND_FIRST_NINE
 
 
+def test_double_sum_raw_sign_discrepancy():
+    # the printed expression comes out negative; the resolved value flips it
+    raw, resolved = nd_double_sum(1)
+    assert raw == -3
+    assert resolved == 3
+
+
 def double_sum_by_comb(d: int) -> int:
     """The printed double sum with every head C(3d-j, 2d+l) taken by math.comb:
     the form _double_sum_raw had before its Pascal-row sweep, kept as a reference."""

@@ -85,6 +85,10 @@ def test_euler_series_positive_and_increasing():
         assert series[n + 1] > series[n]
 
 
+def test_recurrence_matches_product_oracle():
+    assert euler_power_neg24(400) == euler_power_neg24_by_product(400)
+
+
 def test_jacobi_terms_match_direct_cube():
     direct = direct_euler_cube(300)
     for N in range(1, 301):
