@@ -3,15 +3,15 @@
 Subcommands: nd, table, yz, crossover, asym, selftest, each accepting
 --format {text|csv|json}.  Exit codes are fixed: 0 success or agreement,
 1 cross-check disagreement or internal failure, 2 usage error.  The
-top-level --debug flag re-raises an internal failure with its traceback
-instead of printing it as one error line with exit code 1.  selftest
-runs SELFTEST_CHECKS: the raw double sum pinned at -n_d for d <= 25,
-five-way agreement for d <= 120, the Pieri step for d <= 12, the
-q-series product oracle through q^400 and the example bookkeeping; in
-csv and json it prints one row per check (name, status, seconds,
-detail).  The acceptance suite runs the same registry.  All integers
-are printed in full decimal; json renders them as decimal strings so
-consumers never lose precision.
+top-level --debug flag re-raises an internal failure, a failing selftest
+check included, with its traceback instead of printing it as one error
+or FAIL line with exit code 1.  selftest runs SELFTEST_CHECKS: the raw
+double sum pinned at -n_d for d <= 25, five-way agreement for d <= 120,
+the Pieri step for d <= 12, the q-series product oracle through q^400
+and the example bookkeeping; in csv and json it prints one row per
+check (name, status, seconds, detail).  The acceptance suite runs the
+same registry.  All integers are printed in full decimal; json renders
+them as decimal strings so consumers never lose precision.
 """
 
 from __future__ import annotations
@@ -274,12 +274,19 @@ SELFTEST_CHECKS: list[tuple[str, Callable[[], None]]] = [
 ]
 
 
-def run_check(name: str, check: Callable[[], None]) -> tuple[str, str, float, str]:
-    """Run one check: (name, PASS or FAIL, seconds, its criterion or the failure message)."""
+def run_check(
+    name: str, check: Callable[[], None], reraise: bool = False
+) -> tuple[str, str, float, str]:
+    """Run one check: (name, PASS or FAIL, seconds, its criterion or the failure message).
+
+    With reraise, a failing check's exception propagates instead of becoming a FAIL row.
+    """
     start = time.perf_counter()
     try:
         check()
     except Exception as exc:
+        if reraise:
+            raise
         status, detail = "FAIL", str(exc)
     else:
         status, detail = "PASS", check.__doc__ or ""
@@ -290,7 +297,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     header = ("name", "status", "seconds", "detail")
     rows = []
     for name, check in SELFTEST_CHECKS:
-        name, status, seconds, detail = run_check(name, check)
+        name, status, seconds, detail = run_check(name, check, args.debug)
         if args.format == "text":
             print(f"FAIL {name}: {detail}" if status == "FAIL" else f"PASS {name}")
         rows.append(dict(zip(header, (name, status, f"{seconds:.3f}", detail))))

@@ -245,6 +245,20 @@ def test_debug_reraises_with_traceback(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_debug_reraises_failing_selftest_check(capsys, monkeypatch):
+    def divides_by_zero():
+        return 1 // 0
+
+    passing = cli.SELFTEST_CHECKS[-1]
+    monkeypatch.setattr(cli, "SELFTEST_CHECKS", [passing, ("five-way", divides_by_zero)])
+    with pytest.raises(ZeroDivisionError) as exc:
+        cli.main(["--debug", "selftest"])
+    assert exc.traceback[-1].name == "divides_by_zero"
+    captured = capsys.readouterr()
+    assert captured.out == f"PASS {passing[0]}\n"
+    assert captured.err == ""
+
+
 def test_debug_keeps_usage_errors_at_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--debug", "table", "--from", "2", "--to", "1"])

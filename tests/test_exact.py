@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flexk3.exact import binomial, catalan, exact_div
 
@@ -38,6 +39,21 @@ def test_exact_div():
     assert exact_div(12870, 9) == 1430
     with pytest.raises(ArithmeticError):
         exact_div(7, 2)
+
+
+@given(
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+    st.just(0) | st.integers(min_value=-(10**6), max_value=10**6),
+)
+def test_exact_div_any_signs(q, b, r):
+    a = q * b + r
+    if a % b:
+        with pytest.raises(ArithmeticError):
+            exact_div(a, b)
+    else:
+        assert exact_div(a, b) == a // b
+        assert exact_div(a, b) * b == a
 
 
 def test_catalan_small_values():

@@ -40,8 +40,8 @@ A_SMALL = [
 
 
 def sigma_recurrence(N: int) -> list[int]:
-    """a(0..N) by n a(n) = 24 sum_{k=1}^{n} sigma(k) a(n-k): the O(N^2) route
-    euler_power_neg24 took before the Jacobi-cube divisions, kept as a reference."""
+    """a(0..N) by n a(n) = 24 sum_{k=1}^{n} sigma(k) a(n-k): an O(N^2)
+    reference that uses the divisor sums, not Jacobi's identity."""
     sigma = divisor_sums(N)
     a = [0] * (N + 1)
     a[0] = 1
@@ -64,8 +64,8 @@ def direct_euler_cube(N: int) -> list[int]:
 
 
 @cache
-def oracle_150() -> tuple[int, ...]:
-    return euler_power_neg24_by_product(150).coeffs
+def reference_600() -> tuple[int, ...]:
+    return tuple(sigma_recurrence(600))
 
 
 def test_divisor_sums_sieve():
@@ -103,14 +103,40 @@ def test_jacobi_series_matches_sigma_recurrence():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=8))
+@given(st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=8))
 @example([1, 2, 1, 150, 150, 149])  # one past the cached length, then hits
+@example([3, 7, 302, 600, 12, 599])  # growing extensions, then slices
 def test_prefix_cache_serves_any_request_order(bounds):
     qseries._longest = ()
     for N in bounds:
         series = euler_power_neg24(N)
         assert len(series) == N + 1
-        assert series.coeffs == oracle_150()[: N + 1]
+        assert series.coeffs == reference_600()[: N + 1]
+
+
+@pytest.mark.parametrize("poisoned_at", [1, 100, 200])
+def test_poisoned_cache_fails_loudly(monkeypatch, poisoned_at):
+    poisoned = list(reference_600()[:201])
+    poisoned[poisoned_at] += 1
+    poisoned = tuple(poisoned)
+    monkeypatch.setattr(qseries, "_longest", poisoned)
+    with pytest.raises(ArithmeticError):
+        euler_power_neg24(300)
+    assert qseries._longest is poisoned
+
+
+def test_extension_divides_once_per_new_coefficient(monkeypatch):
+    divisors = []
+
+    def recording_div(a, b):
+        divisors.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(qseries, "_longest", ())
+    euler_power_neg24(300)
+    monkeypatch.setattr(qseries, "exact_div", recording_div)
+    assert euler_power_neg24(400).coeffs == reference_600()[:401]
+    assert divisors == list(range(301, 401))
 
 
 def test_certificate_catches_a_wrong_jacobi_sign(monkeypatch):
@@ -173,6 +199,17 @@ def test_crossover_permanence_to_64():
 def test_log_int_moderate_values():
     assert log_int(1) == 0.0
     assert math.isclose(log_int(324), math.log(324), rel_tol=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=2**20000))
+@example(2**53 - 1)
+@example(2**53 + 1)
+@example(2**20000)
+def test_log_int_between_bit_length_bounds(n):
+    value = log_int(n)
+    bits = n.bit_length()
+    assert (bits - 1) * math.log(2) * (1 - 1e-12) <= value <= bits * math.log(2) * (1 + 1e-12)
+    assert math.isclose(value, math.log(n), rel_tol=1e-12)
 
 
 def test_log_int_huge_values():
