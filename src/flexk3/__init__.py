@@ -11,7 +11,6 @@ from .exact import binomial, catalan, exact_div
 from .flexdeg import (
     FlexReport,
     cross_check,
-    example_checks,
     flex_report,
     nd_chern_monomial,
     nd_chern_schubert,
@@ -23,7 +22,6 @@ from .qseries import (
     AsymReport,
     CrossoverReport,
     CrossoverRow,
-    IntSeries,
     asym_flex,
     asym_yz,
     crossover,
@@ -42,7 +40,6 @@ __all__ = [
     "CrossoverReport",
     "CrossoverRow",
     "FlexReport",
-    "IntSeries",
     "asym_flex",
     "asym_yz",
     "binomial",
@@ -53,7 +50,6 @@ __all__ = [
     "euler_power_neg24",
     "euler_power_neg24_by_product",
     "exact_div",
-    "example_checks",
     "flex_report",
     "log_int",
     "monomial_integral",

@@ -5,13 +5,13 @@ Subcommands: nd, table, yz, crossover, asym, selftest, each accepting
 1 cross-check disagreement or internal failure, 2 usage error.  The
 top-level --debug flag re-raises an internal failure, a failing selftest
 check included, with its traceback instead of printing it as one error
-or FAIL line with exit code 1.  selftest runs SELFTEST_CHECKS: the raw
-double sum pinned at -n_d for d <= 25, five-way agreement for d <= 120,
-the Pieri step for d <= 12, the q-series product oracle through q^400
-and the example bookkeeping; in csv and json it prints one row per
-check (name, status, seconds, detail).  The acceptance suite runs the
-same registry.  All integers are printed in full decimal; json renders
-them as decimal strings so consumers never lose precision.
+or FAIL line with exit code 1.  A reader closing stdout early (as
+`| head` does) ends the command with exit code 1 and no message.
+selftest runs the registry SELFTEST_CHECKS, whose docstrings state each
+criterion; in csv and json it prints one row per check (name, status,
+seconds, detail).  The acceptance suite runs the same registry.  All
+integers are printed in full decimal; json renders them as decimal
+strings so consumers never lose precision.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 from math import comb
@@ -31,34 +32,26 @@ from .flexdeg import FlexReport
 from .schubert import _sigma1_step, monomial_integral
 
 TABLE_FIELDS = tuple(field.name for field in dataclasses.fields(FlexReport))
+ASYM_FIELDS = ("kind", *(field.name for field in dataclasses.fields(qseries.AsymReport)))
 
 # The paper's claimed first flex-dominant d, as an inclusive range.
 CLAIMED_SWITCH = (8, 9)
 CLAIMED_WINDOW = "between d={} and d={}".format(*CLAIMED_SWITCH)
 
 
-class UsageError(Exception):
-    """Invalid argument combination detected after parsing."""
+def _int_at_least(low: int, rule: str) -> Callable[[str], int]:
+    """An argparse type for integers >= low; a smaller one fails with "<rule>, got <value>"."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+    return parse
 
 
 def _cell(value: object) -> str:
@@ -129,15 +122,14 @@ def cmd_nd(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.d_from > args.d_to:
-        raise UsageError(f"--from {args.d_from} exceeds --to {args.d_to}")
+        build_parser().error(f"--from {args.d_from} exceeds --to {args.d_to}")
     reports = flexdeg.cross_check(args.d_from, args.d_to)
     _render_rows(TABLE_FIELDS, [dataclasses.asdict(r) for r in reports], args.format)
     return 0 if all(r.agree for r in reports) else 1
 
 
 def cmd_yz(args: argparse.Namespace) -> int:
-    series = qseries.euler_power_neg24(max(1, args.max_n))
-    values = [series[n] for n in range(args.max_n + 1)]
+    values = qseries.euler_power_neg24(max(1, args.max_n))[: args.max_n + 1]
     if args.format == "text":
         for value in values:
             print(value)
@@ -172,43 +164,26 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         return 0
     _render_rows(header, rows, args.format)
     prefix = "# " if args.format == "csv" else ""
-    if exact is None:
-        print(f"{prefix}first flex-dominant d (exact coefficients): none up to d={args.max_d}")
-    else:
-        print(f"{prefix}first flex-dominant d (exact coefficients): {exact}")
-    if model is None:
-        print(f"{prefix}first flex-dominant d (growth models): none up to d={args.max_d}")
-    else:
-        print(f"{prefix}first flex-dominant d (growth models): {model}")
+    for basis, first in (("exact coefficients", exact), ("growth models", model)):
+        found = f"none up to d={args.max_d}" if first is None else first
+        print(f"{prefix}first flex-dominant d ({basis}): {found}")
     print(f"{prefix}{note}")
     return 0
 
 
 def cmd_asym(args: argparse.Namespace) -> int:
-    kinds = ("flex", "yz") if args.kind == "both" else (args.kind,)
-    reports = []
+    compute = {"flex": qseries.asym_flex, "yz": qseries.asym_yz}
+    kinds = tuple(compute) if args.kind == "both" else (args.kind,)
+    rows = []
     for kind in kinds:
-        rep = qseries.asym_flex(args.d) if kind == "flex" else qseries.asym_yz(args.d)
-        reports.append((kind, rep))
+        report = dataclasses.asdict(compute[kind](args.d))
+        logs = {name: f"{value:.9f}" for name, value in report.items() if name != "d"}
+        rows.append({"kind": kind, "d": report["d"], **logs})
     if args.format == "text":
-        for kind, rep in reports:
-            print(
-                f"{kind} d={rep.d} log_exact={rep.log_exact:.9f} "
-                f"log_model={rep.log_model:.9f} log_ratio={rep.log_ratio:.9f}"
-            )
-        return 0
-    header = ("kind", "d", "log_exact", "log_model", "log_ratio")
-    rows = [
-        {
-            "kind": kind,
-            "d": rep.d,
-            "log_exact": f"{rep.log_exact:.9f}",
-            "log_model": f"{rep.log_model:.9f}",
-            "log_ratio": f"{rep.log_ratio:.9f}",
-        }
-        for kind, rep in reports
-    ]
-    _render_rows(header, rows, args.format)
+        for row in rows:
+            print(row["kind"], *(f"{name}={row[name]}" for name in ASYM_FIELDS[1:]))
+    else:
+        _render_rows(ASYM_FIELDS, rows, args.format)
     return 0
 
 
@@ -261,8 +236,20 @@ def _check_qseries_product() -> None:
 
 def _check_examples() -> None:
     """The ramification square 18 and both quartic flex tallies 80 match n_1 and n_2."""
-    if not flexdeg.example_checks():
-        raise AssertionError("geometric bookkeeping identities failed")
+    # Degree 2: the flex curve is the ramification curve R of the double
+    # cover, so R^2 = 18 must equal (n_1 L)^2 = 2 n_1^2.  Degree 4: the flex
+    # curve has degree 4 n_2.  On the Fermat quartic it is 48 lines with
+    # multiplicity 1 plus 4 plane quartic sections with multiplicity 2; on
+    # the Schur quartic, 16 lines with multiplicity 2 plus 48 lines with
+    # multiplicity 1.
+    n1, n2 = flexdeg.nd_closed(1), flexdeg.nd_closed(2)
+    for identity, from_nd, geometric in (
+        ("ramification R^2", 2 * n1 * n1, 18),
+        ("Fermat quartic flex degree", 4 * n2, 48 * 1 + 4 * (2 * 4)),
+        ("Schur quartic flex degree", 4 * n2, 16 * 2 + 48 * 1),
+    ):
+        if from_nd != geometric:
+            raise AssertionError(f"{identity}: {from_nd} != {geometric}")
 
 
 SELFTEST_CHECKS: list[tuple[str, Callable[[], None]]] = [
@@ -326,9 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _int_at_least(1, "must be a positive integer")
+    nonnegative = _int_at_least(0, "must be nonnegative")
 
     p_nd = sub.add_parser("nd", parents=[common], help="single flex multiple n_d")
-    p_nd.add_argument("-d", type=_positive_int, required=True, help="half-degree d >= 1")
+    p_nd.add_argument("-d", type=positive, required=True, help="half-degree d >= 1")
     p_nd.add_argument(
         "--method",
         choices=("closed", "factorial", "sum", "monomial", "schubert", "all"),
@@ -338,20 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_nd.set_defaults(func=cmd_nd)
 
     p_table = sub.add_parser("table", parents=[common], help="n_d table over a range of d")
-    p_table.add_argument("--from", dest="d_from", type=_positive_int, required=True)
-    p_table.add_argument("--to", dest="d_to", type=_positive_int, required=True)
+    p_table.add_argument("--from", dest="d_from", type=positive, required=True)
+    p_table.add_argument("--to", dest="d_to", type=positive, required=True)
     p_table.set_defaults(func=cmd_table)
 
     p_yz = sub.add_parser("yz", parents=[common], help="coefficients of prod (1-q^n)^(-24)")
-    p_yz.add_argument("--max-n", dest="max_n", type=_nonnegative_int, required=True)
+    p_yz.add_argument("--max-n", dest="max_n", type=nonnegative, required=True)
     p_yz.set_defaults(func=cmd_yz)
 
     p_cross = sub.add_parser("crossover", parents=[common], help="flex vs Yau-Zaslow comparison")
-    p_cross.add_argument("--max-d", dest="max_d", type=_positive_int, required=True)
+    p_cross.add_argument("--max-d", dest="max_d", type=positive, required=True)
     p_cross.set_defaults(func=cmd_crossover)
 
     p_asym = sub.add_parser("asym", parents=[common], help="growth-model diagnostics")
-    p_asym.add_argument("-d", type=_positive_int, required=True)
+    p_asym.add_argument("-d", type=positive, required=True)
     p_asym.add_argument("--kind", choices=("flex", "yz", "both"), default="both")
     p_asym.set_defaults(func=cmd_asym)
 
@@ -362,12 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        parser.error(str(exc))
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so the interpreter's
+        # final flush of what is still buffered stays quiet, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except Exception as exc:
         if args.debug:
             raise

@@ -33,7 +33,7 @@ def exact_div(a: int, b: int) -> int:
 
 
 def catalan(d: int) -> int:
-    """Catalan number C(d) = binomial(2d, d) / (d + 1) for d >= 0."""
+    """Catalan number C(d) = C(2d, d) / (d + 1) for d >= 0."""
     if d < 0:
         raise ValueError(f"catalan of negative integer {d}")
-    return exact_div(binomial(2 * d, d), d + 1)
+    return exact_div(math.comb(2 * d, d), d + 1)

@@ -213,20 +213,3 @@ def cross_check(d_lo: int, d_hi: int) -> list[FlexReport]:
         raise ValueError(f"empty range [{d_lo}, {d_hi}]")
     return [flex_report(d) for d in range(d_lo, d_hi + 1)]
 
-
-def example_checks() -> bool:
-    """Geometric bookkeeping checks tying n_1 and n_2 to curve counts.
-
-    Degree 2: the flex curve is the ramification curve R of the double
-    cover, and R^2 = 18 must equal (n_1 L)^2 = 9 * 2.  Degree 4 (n_2 = 20,
-    flex curve degree 4 * n_2 = 80): on the Fermat quartic the flex locus
-    is 48 lines with multiplicity 1 plus 4 plane quartic sections with
-    multiplicity 2; on the Schur quartic it is 16 lines with multiplicity
-    2 plus 48 lines with multiplicity 1.
-    """
-    n1 = nd_closed(1)
-    n2 = nd_closed(2)
-    ramification = n1 * n1 * 2 == 18
-    fermat = 48 * 1 + 4 * (2 * 4) == 4 * n2
-    schur = 16 * 2 + 48 * 1 == 4 * n2
-    return ramification and fermat and schur

@@ -47,26 +47,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 import math
 from operator import add, mul
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .exact import binomial, exact_div
 from .flexdeg import nd_closed
-
-
-@dataclass(frozen=True)
-class IntSeries:
-    """Dense exact coefficients a(0..N), indexed by q-exponent."""
-
-    coeffs: tuple[int, ...]
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -136,8 +120,8 @@ def _certify(a: list[int]) -> None:
         raise ArithmeticError(f"series fails the divisor-sum identity at q^{N}")
 
 
-def euler_power_neg24(N: int) -> IntSeries:
-    """Coefficients a(0..N) of prod (1 - q^n)^(-24).
+def euler_power_neg24(N: int) -> tuple[int, ...]:
+    """Coefficients a(0..N) of prod (1 - q^n)^(-24), a(n) at index n.
 
     A request up to the longest series built so far in this process is a
     slice of it.  A longer one extends it to exactly N by the power
@@ -164,10 +148,10 @@ def euler_power_neg24(N: int) -> IntSeries:
             a.append(-exact_div(sum(map(mul, weights, reads)), n))
         _certify(a)
         _longest = tuple(a)
-    return IntSeries(_longest[: N + 1])
+    return _longest[: N + 1]
 
 
-def euler_power_neg24_by_product(N: int) -> IntSeries:
+def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
     """Same coefficients by expanding the product and inverting it.
 
     prod_{n <= N} (1 - q^n)^24 is expanded factor by factor, each factor
@@ -188,7 +172,7 @@ def euler_power_neg24_by_product(N: int) -> IntSeries:
     coeffs = [1] + [0] * N
     for n in range(1, N + 1):
         coeffs[n] = -sum(map(mul, power[1 : n + 1], coeffs[n - 1 :: -1]))
-    return IntSeries(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def yz_multiple(d: int) -> int:

@@ -5,11 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from flexk3 import cli
 
+ROOT = Path(__file__).resolve().parent.parent
 ND_FIRST_NINE = ["3", "20", "175", "1764", "19404", "226512", "2760615", "34763300", "449141836"]
 
 
@@ -180,6 +185,15 @@ def test_selftest_names_failing_check(capsys, monkeypatch):
     assert "FAIL double-sum" in out
 
 
+def test_example_check_failure_names_the_identity(monkeypatch):
+    monkeypatch.setattr(cli.flexdeg, "nd_closed", lambda d: 4 if d == 1 else 20)
+    with pytest.raises(AssertionError, match=r"^ramification R\^2: 32 != 18$"):
+        cli._check_examples()
+    monkeypatch.setattr(cli.flexdeg, "nd_closed", lambda d: 3 if d == 1 else 21)
+    with pytest.raises(AssertionError, match=r"^Fermat quartic flex degree: 84 != 80$"):
+        cli._check_examples()
+
+
 def test_selftest_json_one_row_per_check(capsys):
     code, out = run_cli(capsys, "selftest", "--format", "json")
     assert code == 0
@@ -264,3 +278,18 @@ def test_debug_keeps_usage_errors_at_exit_2(capsys):
         cli.main(["--debug", "table", "--from", "2", "--to", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # The output (about 0.6 MB) is far larger than a pipe buffer, so the
+    # writes after the close are certain to meet EPIPE.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flexk3.cli", "yz", "--max-n", "3000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

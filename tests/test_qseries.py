@@ -111,7 +111,7 @@ def test_prefix_cache_serves_any_request_order(bounds):
     for N in bounds:
         series = euler_power_neg24(N)
         assert len(series) == N + 1
-        assert series.coeffs == reference_600()[: N + 1]
+        assert series == reference_600()[: N + 1]
 
 
 @pytest.mark.parametrize("poisoned_at", [1, 100, 200])
@@ -135,7 +135,7 @@ def test_extension_divides_once_per_new_coefficient(monkeypatch):
     monkeypatch.setattr(qseries, "_longest", ())
     euler_power_neg24(300)
     monkeypatch.setattr(qseries, "exact_div", recording_div)
-    assert euler_power_neg24(400).coeffs == reference_600()[:401]
+    assert euler_power_neg24(400) == reference_600()[:401]
     assert divisors == list(range(301, 401))
 
 
