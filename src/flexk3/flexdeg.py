@@ -15,9 +15,10 @@ This module computes n_d five ways and cross-validates:
   3. nd_double_sum    an alternating double binomial sum; the printed
                       formula evaluates to a consistent sign times n_d,
                       so both the raw value and the sign-resolved value
-                      are reported.  Its binomials C(3d-j, 2d+l) are
-                      stepped as rows of Pascal's triangle: d^2/2 C-level
-                      additions and d^2/2 big products
+                      are reported.  Its inner sum over j has a closed
+                      form (Chu-Vandermonde), which leaves d terms whose
+                      factors step by term ratios: one binomial, 2d big
+                      products and 3(d-1) small exact divisions
   4. nd_chern_monomial   intersection theory: expand the total Chern
                       class of the relevant tautological bundle, pair its
                       degree-(2d-1) part against sigma1 using the
@@ -42,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from operator import add, mul
 
 from .exact import catalan, exact_div
 from .schubert import _sigma1_step, monomial_integral
@@ -94,29 +94,41 @@ def nd_factorial(d: int) -> int:
 
 
 def _double_sum_raw(d: int) -> int:
-    """Evaluate the alternating double sum exactly as printed.
+    """Evaluate the alternating double sum as printed, its inner sum in closed form.
 
     sum over 0 <= j <= d, 1 <= l <= d - j of
         (-1)^(j+1) C(4d+2, j) C(3d-j, 2d+l) C(2d+l, 2l-1) C(2l, l) / (l+1)
 
     The last two factors are the Catalan number C(l), so every term is an
-    integer and the sum needs no rationals.  C(2d+l, 2l-1) C(l) does not
-    depend on j, so it is built once.  The heads C(3d-j, 2d+l), l = 0..d-j,
-    are one row of Pascal's triangle, and the row for j comes from the row
-    for j + 1 by Pascal's rule: one C-level pass of additions, one binomial
-    for the l = 0 edge and the 1 at the far edge.  So the sweep runs j = d
-    down to 0 (j = d has no terms), and each term costs one product and no
-    binomial: d^2/2 C-level additions, d^2/2 big products and 3d binomials
-    in all.  The terms are the printed ones, so the raw value is the same
-    integer.
+    integer.  For fixed l the j-sum is a Chu-Vandermonde convolution:
+    C(3d-j, 2d+l) = [x^(d-l-j)] (1-x)^-(2d+l+1), so summing
+    (-1)^j C(4d+2, j) x^j against it gives [x^(d-l)] (1-x)^(2d+1-l)
+    = (-1)^(d-l) C(2d+1-l, d-l), and the coefficient vanishes for
+    j > d - l exactly where the printed range stops.  Hence
+
+        raw(d) = sum_{l=1..d} (-1)^(d-l+1) C(2d+1-l, d-l) C(2d+l, 2l-1) C(l),
+
+    whose l-th term is the printed terms of that l summed over j.  At
+    l = 1 the three factors are C(2d, d-1), 2d+1 and 1; each then steps by
+    its term ratio, one small multiply and one asserted exact division:
+
+        C(2d-l, d-l-1)    = C(2d+1-l, d-l) (d-l) / (2d+1-l)
+        C(2d+l+1, 2l+1)   = C(2d+l, 2l-1) (2d+l+1)(2d-l+1) / (2l (2l+1))
+        C(l+1)            = C(l) 2(2l+1) / (l+2)
+
+    So the route takes one binomial, 2d big products and 3(d-1) small
+    exact divisions: O(d M(d)) bit operations, M(d) the cost of one
+    product of O(d)-bit integers, where the printed double sum costs
+    O(d^2 M(d)).
     """
-    tail = [comb(2 * d + ell, 2 * ell - 1) * catalan(ell) for ell in range(1, d + 1)]
-    total = 0
-    row = [1]  # C(2d, 2d + l) for j = d: the only head is l = 0
-    for j in range(d - 1, -1, -1):
-        row = [comb(3 * d - j, 2 * d)] + list(map(add, row[1:], row[:-1])) + [1]
-        sign = -1 if j % 2 == 0 else 1
-        total += sign * comb(4 * d + 2, j) * sum(map(mul, row[1:], tail))
+    head, tail, cat = comb(2 * d, d - 1), 2 * d + 1, 1  # the factors at l = 1
+    total = -head * tail if d % 2 else head * tail
+    for ell in range(1, d):
+        head = exact_div(head * (d - ell), 2 * d + 1 - ell)
+        tail = exact_div(tail * ((2 * d + ell + 1) * (2 * d - ell + 1)), 2 * ell * (2 * ell + 1))
+        cat = exact_div(cat * (4 * ell + 2), ell + 2)
+        term = head * tail * cat
+        total = total + term if (d - ell) % 2 == 0 else total - term
     return total
 
 

@@ -4,7 +4,9 @@ Each command's stdout is pinned by the first 16 hex digits of its SHA-256;
 a mismatch prints the full output, so a deliberate schema change can be
 reviewed and re-pinned.  Usage errors pin only the last stderr line,
 because argparse's usage block differs between Python versions.  Text
-selftest is pinned; its csv and json forms carry timings.
+selftest is pinned; its csv and json forms carry timings.  The two d = 3578
+cases print an n_d of more than 4300 digits, which CPython refuses to
+convert to a string unless the CLI lifts its limit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ STDOUT = [
     ("nd -d 7", 0, "4e6597a69121c353"),
     ("nd -d 4 --method all --format csv", 0, "d734bc39398b4d97"),
     ("nd -d 3 --method all --format json", 0, "e69a1c96cfa35a2d"),
+    # n_3578 has 4302 digits, past CPython's default int-to-str limit of 4300
+    ("nd -d 3578 --method closed", 0, "dd787544d31df9c1"),
+    ("nd -d 3578 --method factorial --format json", 0, "e84382015a4e83e5"),
     ("table --from 1 --to 6", 0, "f46a335763a26d92"),
     ("table --from 1 --to 6 --format csv", 0, "11935d1040c438a3"),
     ("table --from 1 --to 6 --format json", 0, "5d513634f570a080"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import repeat
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +59,20 @@ def double_sum_by_comb(d: int) -> int:
     return total
 
 
+def double_sum_by_pascal(d: int) -> int:
+    """The printed double sum with its heads C(3d-j, 2d+l) stepped as rows of
+    Pascal's triangle, j = d down to 0: the form _double_sum_raw had before it
+    summed over j in closed form, kept as a reference."""
+    tail = [comb(2 * d + ell, 2 * ell - 1) * catalan(ell) for ell in range(1, d + 1)]
+    total = 0
+    row = [1]  # C(2d, 2d + l) for j = d: the only head is l = 0
+    for j in range(d - 1, -1, -1):
+        row = [comb(3 * d - j, 2 * d)] + list(map(add, row[1:], row[:-1])) + [1]
+        sign = -1 if j % 2 == 0 else 1
+        total += sign * comb(4 * d + 2, j) * sum(map(mul, row[1:], tail))
+    return total
+
+
 def four_factorial_terms(d: int) -> tuple[int, int]:
     """(2d)! (2d+1)! and d!^2 (d+1)!^2 from four separate factorials: the form
     nd_factorial had before it built each factorial once, kept as a reference."""
@@ -70,11 +84,28 @@ def four_factorial_terms(d: int) -> tuple[int, int]:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 60))
 def test_pascal_sweep_matches_comb_form(d):
-    assert _double_sum_raw(d) == double_sum_by_comb(d)
+    assert double_sum_by_pascal(d) == double_sum_by_comb(d)
 
 
 def test_pascal_sweep_matches_comb_form_d200():
-    assert _double_sum_raw(200) == double_sum_by_comb(200)
+    assert double_sum_by_pascal(200) == double_sum_by_comb(200)
+
+
+def test_closed_inner_sum_matches_pascal_sweep():
+    for d in [*range(1, 121), 200, 400]:
+        assert _double_sum_raw(d) == double_sum_by_pascal(d), d
+
+
+def test_double_sum_makes_three_asserted_divisions_per_step(monkeypatch):
+    calls = []
+
+    def recording_div(a, b):
+        calls.append((a, b))
+        return exact_div(a, b)
+
+    monkeypatch.setattr(flexdeg, "exact_div", recording_div)
+    assert _double_sum_raw(7) == -ND_FIRST_NINE[6]
+    assert len(calls) == 3 * (7 - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -175,7 +206,7 @@ def test_sigma1_step_matches_pieri_exhaustively():
                 assert got == [want.get((k + 1 - b, b), 0) for b in range(len(got))], (d, k, x)
 
 
-@pytest.mark.parametrize("d", [60, 100, 200, 400])
+@pytest.mark.parametrize("d", [60, 100, 200, 400, 1000])
 def test_five_way_agreement_large_d(d):
     report = flex_report(d)
     assert report.agree
