@@ -12,7 +12,7 @@ criterion; in csv and json it prints one row per check (name, status,
 seconds, detail).  The acceptance suite runs the same registry.  All
 integers are printed in full decimal; json renders them as decimal
 strings so consumers never lose precision, and main lifts CPython's
-limit on the digits of an int printed as a string.
+limit on the digits of an int printed as a string while it runs.
 """
 
 from __future__ import annotations
@@ -352,25 +352,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # CPython 3.10.7+ refuses to print an int of more than 4300 digits;
-        # n_d passes that at d = 3578, and every value here prints in full.
+    # CPython 3.10.7+ refuses to print an int of over 4300 digits (n_d at d = 3578):
+    # lift that limit while main runs, and give the caller's back on every way out.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull, so the interpreter's
-        # final flush of what is still buffered stays quiet, and exit 1.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
-    except Exception as exc:
-        if args.debug:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            # The reader closed stdout.  Point it at devnull, so the interpreter's
+            # final flush of what is still buffered stays quiet, and exit 1.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
+        except Exception as exc:
+            if args.debug:
+                raise
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

@@ -26,9 +26,9 @@ This module computes n_d five ways and cross-validates:
   5. nd_chern_schubert   the same pairing evaluated by a Horner sweep in
                       the Schubert basis, no closed-form integrals
 
-Routes 4 and 5 share the degree-(2d-1) Chern part, which chern_total
-gives in closed form (d terms, one product of two binomials each), but
-integrate independently: route 5 is a Horner sweep of 2d sigma1 steps
+Routes 4 and 5 share the degree-(2d-1) Chern part, chern_total's d
+closed-form coefficients (two binomials each), but integrate
+independently: route 5 is a Horner sweep of 2d sigma1 steps
 (schubert._sigma1_step, the package's one Pieri engine) on one graded
 piece kept as a plain list: O(d) Python-level operations, with the
 O(d^2) coefficient additions done at C level (one Pieri walk per
@@ -165,18 +165,17 @@ def nd_double_sum(d: int) -> tuple[int, int]:
 def nd_chern_monomial(d: int) -> int:
     """Pair sigma1 against the degree-(2d-1) Chern part via monomial integrals.
 
-    n_d = - integral of sigma1 * c_(2d-1), each monomial s1^m * s2^n of
-    c_(2d-1) contributing its coefficient times the closed-form integral
-    of s1^(m+1) * s2^n.
+    n_d = - integral of sigma1 * c_(2d-1), the coefficient c_n of s1^(2d-1-2n)
+    s2^n contributing c_n times the closed-form integral of s1^(2d-2n) s2^n.
     """
     _require_positive(d)
     total = 0
-    for m, n, coef in chern_total(d):
-        total += coef * monomial_integral(m + 1, n, d)
+    for n, coef in enumerate(chern_total(d)):
+        total += coef * monomial_integral(2 * (d - n), n, d)
     return -total
 
 
-def _sigma1_square_horner(d: int, coefs: list[int]) -> int:
+def _sigma1_square_horner(d: int, coefs: tuple[int, ...]) -> int:
     """Integral of sum_n coefs[n] * sigma1^(2d-2n) * sigma2^n, n = 0..d-1.
 
     Horner in sigma1^2 over the Schubert basis: acc <- sigma1^2 * acc +
@@ -200,10 +199,7 @@ def nd_chern_schubert(d: int) -> int:
     operators in one Horner sweep and read off at the top class.
     """
     _require_positive(d)
-    coefs = [0] * d
-    for _, n, coef in chern_total(d):
-        coefs[n] = coef
-    return -_sigma1_square_horner(d, coefs)
+    return -_sigma1_square_horner(d, chern_total(d))
 
 
 def flex_report(d: int) -> FlexReport:

@@ -17,22 +17,20 @@ from math import comb
 
 
 @lru_cache(maxsize=None)
-def chern_total(d: int) -> tuple[tuple[int, int, int], ...]:
+def chern_total(d: int) -> tuple[int, ...]:
     """Degree-(2d-1) part of (1 - s1)^(4d+2) / (1 - s1 + s2)^(d+2).
 
-    Returns the terms (m, n, coefficient) of s1^m * s2^n with m + 2n = 2d - 1,
-    ordered by n = 0..d-1.  Writing 1 - s1 + s2 = (1 - s1)(1 + s2/(1 - s1)),
+    Returns (c_0, ..., c_{d-1}), c_n the coefficient of s1^(2d-1-2n) s2^n.
+    Writing 1 - s1 + s2 = (1 - s1)(1 + s2/(1 - s1)),
 
         c = sum_n (-1)^n C(n+d+1, n) s2^n (1 - s1)^(3d-n),
 
-    a polynomial in s1 for n <= d - 1, so s1^m s2^n has the coefficient
-    (-1)^(n+1) C(n+d+1, n) C(3d-n, m) (m is odd); 0 <= m <= 3d - n keeps
-    every coefficient nonzero.  Cached: both intersection routes read it.
+    a polynomial in s1 for n <= d - 1, so
+    c_n = (-1)^(n+1) C(n+d+1, n) C(3d-n, 2d-1-2n), nonzero since
+    2d-1-2n <= 3d-n.  Cached: both intersection routes read it.
     """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    terms = []
-    for n in range(d):
-        m = 2 * d - 1 - 2 * n
-        terms.append((m, n, (-1) ** (n + 1) * comb(n + d + 1, n) * comb(3 * d - n, m)))
-    return tuple(terms)
+    return tuple(
+        (-1) ** (n + 1) * comb(n + d + 1, n) * comb(3 * d - n, 2 * d - 1 - 2 * n) for n in range(d)
+    )

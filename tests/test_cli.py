@@ -280,6 +280,29 @@ def test_debug_keeps_usage_errors_at_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("argv, raises", [
+    (["nd", "-d", "3578", "--method", "closed"], None),
+    (["nd", "-d", "0"], SystemExit),
+    (["--debug", "nd", "-d", "3", "--method", "closed"], RuntimeError),
+])
+def test_main_restores_int_digit_limit(capsys, monkeypatch, argv, raises):
+    if raises is RuntimeError:
+        monkeypatch.setattr(cli.flexdeg, "nd_closed", _boom)
+    caller_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default, so a leaked 0 shows
+    try:
+        if raises is None:
+            assert cli.main(argv) == 0
+        else:
+            with pytest.raises(raises):
+                cli.main(argv)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(caller_limit)
+    capsys.readouterr()
+
+
 def test_closed_stdout_pipe_exits_1_quietly():
     # The output (about 0.6 MB) is far larger than a pipe buffer, so the
     # writes after the close are certain to meet EPIPE.

@@ -130,7 +130,7 @@ def test_double_sum_matches_table():
     for d, expected in enumerate(ND_FIRST_NINE, start=1):
         raw, resolved = nd_double_sum(d)
         assert resolved == expected
-        assert abs(raw) == expected
+        assert raw == -expected
 
 
 def test_chern_monomial_matches_table():
@@ -167,10 +167,12 @@ def test_cross_check_single_d():
 
 
 def test_parity_and_positivity():
+    # 2d + 1 is odd and C(d) is odd exactly when d = 2^k - 1, so n_d is odd
+    # exactly when d + 1 is a power of two.
     for d in range(1, 41):
         n = nd_closed(d)
         assert n > 0
-        assert (n % 2 == 1) == ((2 * d + 1) * catalan(d) ** 2 % 2 == 1)
+        assert (n % 2 == 1) == (d & (d + 1) == 0)
 
 
 def pieri_walk(d: int, n: int) -> int:
@@ -210,4 +212,4 @@ def test_sigma1_step_matches_pieri_exhaustively():
 def test_five_way_agreement_large_d(d):
     report = flex_report(d)
     assert report.agree
-    assert abs(report.n_sum_raw) == report.n_closed
+    assert report.n_sum_raw == -report.n_closed
