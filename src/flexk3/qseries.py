@@ -26,10 +26,12 @@ logarithmic-derivative identity
 
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
 
-with the divisor sums sigma(k) by sieve, and raises ArithmeticError if
-it fails.  An independent oracle expands
-prod (1 - q^n)^24 factor by factor and inverts it, using no series
-identity.
+with the divisor sums sigma(k) kept beside the series, and raises
+ArithmeticError if it fails.  An independent oracle builds
+prod (1 - q^n) factor by factor, takes its 24th power as five products of
+packed integers (Kronecker substitution), checks Ramanujan's congruence
+tau(m) = sigma_11(m) (mod 691) on the result and inverts it, using no
+series identity.
 
 This module also compares the flex multiples n_d against the Yau-Zaslow
 multiples (crossover) and checks both against their growth models
@@ -46,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 import math
-from operator import add, mul
+from operator import mul, sub
 from typing import NamedTuple
 
 from .exact import binomial, exact_div
@@ -96,8 +98,10 @@ def divisor_sums(N: int) -> list[int]:
     return sums
 
 
-# The longest series a(0..) built so far in this process.
+# The longest series a(0..) built so far in this process, and the divisor
+# sums sigma(0..) that its certificates read.
 _longest: tuple[int, ...] = ()
+_sigma: list[int] = []
 
 
 def _jacobi_cube_terms(N: int) -> list[tuple[int, int]]:
@@ -113,10 +117,18 @@ def _jacobi_cube_terms(N: int) -> list[tuple[int, int]]:
 
 def _certify(a: list[int]) -> None:
     """Raise ArithmeticError unless N a(N) = 24 sum_{k=1}^{N} sigma(k) a(N-k),
-    N = len(a) - 1: the logarithmic derivative of prod (1 - q^n)^(-24)."""
+    N = len(a) - 1: the logarithmic derivative of prod (1 - q^n)^(-24).
+
+    The divisor sums outlive the call.  A request past them sieves anew to
+    max(N, 2M), M the last index sieved: at most twice the sieve that one
+    request needs, so that a rising run of requests sieves O(log N) times
+    instead of once per extension.
+    """
+    global _sigma
     N = len(a) - 1
-    sigma = divisor_sums(N)
-    if N * a[N] != 24 * sum(map(mul, sigma[1:], reversed(a[:N]))):
+    if N >= len(_sigma):
+        _sigma = divisor_sums(max(N, 2 * (len(_sigma) - 1)))
+    if N * a[N] != 24 * sum(map(mul, _sigma[1 : N + 1], reversed(a[:N]))):
         raise ArithmeticError(f"series fails the divisor-sum identity at q^{N}")
 
 
@@ -130,8 +142,8 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
     new coefficient, is certified at q^N by the divisor-sum identity, and
     replaces it.  Extending from length M to N costs about
     0.94 (N^(3/2) - M^(3/2)) bigint multiply-adds for the new
-    coefficients, plus the certificate: a divisor-sum sieve to N and an
-    N-term dot product.
+    coefficients, plus the certificate: an N-term dot product, and a
+    divisor-sum sieve whenever N passes the sums sieved so far.
     """
     global _longest
     if N < 1:
@@ -151,24 +163,72 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
     return _longest[: N + 1]
 
 
+def _euler_power_24(N: int) -> list[int]:
+    """prod_{n <= N} (1 - q^n)^24 truncated at q^N, by Kronecker substitution.
+
+    E = prod_{n <= N} (1 - q^n) is built factor by factor, one C-level
+    subtraction pass per factor.  The map q -> 2^w from Z[q]/(q^(N+1)) to
+    Z/2^((N+1)w) is a ring homomorphism, so E^24 is five products of packed
+    integers, x^2, x^4, x^8, x^16 and x^16 x^8, each reduced mod
+    2^((N+1)w).  A slot that overflows in between does no harm: only the
+    final coefficients c_k need |c_k| < 2^(w-1), and then a bias of
+    2^(w-1) in every slot reads each one back without carries.  With
+    D = 1 - E and L the sum of the absolute values of D's coefficients,
+    E^24 = sum_j C(24, j) (-D)^j and D^j starts at q^j, so
+
+        |c_k| <= sum_{j <= min(24, N)} C(24, j) L^j,
+
+    a bound read off E itself, not from any series identity; w is the
+    least multiple of 8 that exceeds its bit length.  E's own
+    coefficients, at most L in size, go into the same biased slots.
+    """
+    e = [1] + [0] * N
+    for n in range(1, N + 1):
+        e[n:] = map(sub, e[n:], e[: N + 1 - n])
+    ell = sum(map(abs, e)) - 1
+    bound = sum(binomial(24, j) * ell**j for j in range(min(24, N) + 1))
+    width = bound.bit_length() // 8 + 1  # bytes per slot
+    half = 1 << (8 * width - 1)
+    size = (N + 1) * width
+    mask = (1 << 8 * size) - 1
+    bias = int.from_bytes(half.to_bytes(width, "little") * (N + 1), "little")
+    packed = b"".join((c + half).to_bytes(width, "little") for c in e)
+    x = (int.from_bytes(packed, "little") - bias) & mask  # E
+    for _ in range(3):
+        x = x * x & mask  # E^2, E^4, E^8
+    x = (x * x & mask) * x & mask  # E^16 E^8
+    packed = ((x + bias) & mask).to_bytes(size, "little")
+    return [int.from_bytes(packed[i : i + width], "little") - half for i in range(0, size, width)]
+
+
+def _check_ramanujan_691(tau: list[int]) -> None:
+    """Raise ArithmeticError unless tau(m) = sigma_11(m) (mod 691) for
+    m = 1..len(tau), with tau(m) at index m - 1 (Ramanujan 1916; Hardy and
+    Wright, Ch. XIX).  sigma_11 mod 691 comes from an O(N log N) sieve."""
+    top = len(tau)
+    sigma11 = [0] * (top + 1)
+    for div in range(1, top + 1):
+        sigma11[div::div] = map(pow(div, 11, 691).__add__, sigma11[div::div])
+    for m in range(1, top + 1):
+        if (tau[m - 1] - sigma11[m]) % 691:
+            raise ArithmeticError(f"product oracle fails tau({m}) = sigma_11({m}) mod 691")
+
+
 def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
     """Same coefficients by expanding the product and inverting it.
 
-    prod_{n <= N} (1 - q^n)^24 is expanded factor by factor, each factor
-    as sum_j (-1)^j C(24, j) q^(nj): about 1.9 N^2 operations on integers
-    of a few machine words.  The unit-constant result is then inverted
-    term by term, N^2 / 2 bigint products.  No series identity is used,
-    so this stays independent of euler_power_neg24.
+    prod_{n <= N} (1 - q^n) is built factor by factor, N^2 / 2
+    subtractions of small integers, and raised to the 24th power by
+    Kronecker substitution: five products of (N+1) w-bit integers, with
+    w <= 160 for N <= 2000.  The result, sum_n tau(n+1) q^n, must pass
+    Ramanujan's congruence mod 691, else ArithmeticError.  It is then
+    inverted term by term, N^2 / 2 bigint products.  No series identity
+    is used, so this stays independent of euler_power_neg24.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    signed = [(-1) ** j * binomial(24, j) for j in range(25)]
-    power = [1] + [0] * N  # prod (1 - q^n)^24, truncated at q^N
-    for n in range(1, N + 1):
-        before = power[:]
-        for j in range(1, min(24, N // n) + 1):
-            shift = n * j
-            power[shift:] = map(add, power[shift:], map(signed[j].__mul__, before[: N + 1 - shift]))
+    power = _euler_power_24(N)  # tau(n + 1) at index n
+    _check_ramanujan_691(power)
     coeffs = [1] + [0] * N
     for n in range(1, N + 1):
         coeffs[n] = -sum(map(mul, power[1 : n + 1], coeffs[n - 1 :: -1]))

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flexk3 import qseries
-from flexk3.exact import exact_div
+from flexk3.exact import binomial, exact_div
 from flexk3.qseries import (
     CrossoverRow,
     asym_flex,
@@ -63,6 +64,23 @@ def direct_euler_cube(N: int) -> list[int]:
     return coeffs
 
 
+def product_by_factors(N: int) -> tuple[int, ...]:
+    """a(0..N) by expanding prod_{n <= N} (1 - q^n)^24 factor by factor, each
+    factor as sum_j (-1)^j C(24, j) q^(nj), and inverting it term by term:
+    the product oracle's expansion before Kronecker substitution."""
+    signed = [(-1) ** j * binomial(24, j) for j in range(25)]
+    power = [1] + [0] * N
+    for n in range(1, N + 1):
+        before = power[:]
+        for j in range(1, min(24, N // n) + 1):
+            shift = n * j
+            power[shift:] = map(add, power[shift:], map(signed[j].__mul__, before[: N + 1 - shift]))
+    coeffs = [1] + [0] * N
+    for n in range(1, N + 1):
+        coeffs[n] = -sum(map(mul, power[1 : n + 1], coeffs[n - 1 :: -1]))
+    return tuple(coeffs)
+
+
 @cache
 def reference_600() -> tuple[int, ...]:
     return tuple(sigma_recurrence(600))
@@ -87,6 +105,51 @@ def test_euler_series_positive_and_increasing():
 
 def test_recurrence_matches_product_oracle():
     assert euler_power_neg24(400) == euler_power_neg24_by_product(400)
+    assert euler_power_neg24(1000) == euler_power_neg24_by_product(1000)
+
+
+def test_product_oracle_matches_factor_expansion():
+    for N in [*range(1, 151), 400]:
+        assert euler_power_neg24_by_product(N) == product_by_factors(N), N
+
+
+def test_product_oracle_bounds_its_slots_with_binomial(monkeypatch):
+    calls = []
+
+    def recording_binomial(n, k):
+        calls.append((n, k))
+        return binomial(n, k)
+
+    monkeypatch.setattr(qseries, "binomial", recording_binomial)
+    assert euler_power_neg24_by_product(3) == (1, 24, 324, 3200)
+    assert calls == [(24, 0), (24, 1), (24, 2), (24, 3)]
+
+
+def test_product_oracle_checks_ramanujan_congruence(monkeypatch):
+    power = qseries._euler_power_24
+
+    def one_tau_off(N):
+        tau = power(N)
+        tau[6] += 2**64  # tau(7)
+        return tau
+
+    monkeypatch.setattr(qseries, "_euler_power_24", one_tau_off)
+    with pytest.raises(ArithmeticError, match=r"tau\(7\)"):
+        euler_power_neg24_by_product(20)
+
+
+def test_rising_requests_sieve_divisor_sums_log_times(monkeypatch):
+    sieved = []
+
+    def recording_sums(N):
+        sieved.append(N)
+        return divisor_sums(N)
+
+    monkeypatch.setattr(qseries, "_longest", ())
+    monkeypatch.setattr(qseries, "_sigma", [])
+    monkeypatch.setattr(qseries, "divisor_sums", recording_sums)
+    assert [yz_multiple(d) for d in range(1, 600)] == list(reference_600()[2:])
+    assert sieved == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
 def test_jacobi_terms_match_direct_cube():
