@@ -9,7 +9,9 @@ or FAIL line with exit code 1.  A reader closing stdout early (as
 `| head` does) ends the command with exit code 1 and no message.
 selftest runs the registry SELFTEST_CHECKS, whose docstrings state each
 criterion; in csv and json it prints one row per check (name, status,
-seconds, detail).  The acceptance suite runs the same registry.  All
+seconds, detail).  The acceptance suite runs the same registry.  Rows are
+tuples, the package's NamedTuple records or plain tuples, rendered
+against a header that for a record is its _fields.  All
 integers are printed in full decimal; json renders them as decimal
 strings so consumers never lose precision, and main lifts CPython's
 limit on the digits of an int printed as a string while it runs.
@@ -19,21 +21,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import os
 import sys
 import time
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import flexdeg, qseries
 from .flexdeg import FlexReport
 from .schubert import _sigma1_step, monomial_integral
-
-TABLE_FIELDS = tuple(field.name for field in dataclasses.fields(FlexReport))
-ASYM_FIELDS = ("kind", *(field.name for field in dataclasses.fields(qseries.AsymReport)))
 
 # The paper's claimed first flex-dominant d, as an inclusive range.
 CLAIMED_SWITCH = (8, 9)
@@ -61,45 +59,45 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _print_text_table(header: tuple[str, ...], rows: list[dict[str, object]]) -> None:
-    cells = [[_cell(row[name]) for name in header] for row in rows]
+def _print_text_table(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    cells = [list(map(_cell, row)) for row in rows]
     widths = [max(map(len, column)) for column in zip(header, *cells)]
     print("  ".join(name.ljust(width) for name, width in zip(header, widths)).rstrip())
     for line in cells:
         print("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
 
 
-def _print_csv(header: tuple[str, ...], rows: list[dict[str, object]]) -> None:
+def _print_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_cell(row[name]) for name in header] for row in rows)
+    writer.writerows(map(_cell, row) for row in rows)
 
 
-def _json_table_value(rows: list[dict[str, object]]) -> list[dict[str, object]]:
-    """Booleans stay JSON booleans; every other value becomes a string."""
+def _json_table_value(header: tuple[str, ...], rows: Iterable[tuple]) -> list[dict[str, object]]:
+    """One object per row, keyed by header; booleans stay JSON booleans and
+    every other value becomes a string."""
     return [
-        {name: value if isinstance(value, bool) else str(value) for name, value in row.items()}
+        {name: value if isinstance(value, bool) else str(value) for name, value in zip(header, row)}
         for row in rows
     ]
 
 
-def _render_rows(header: tuple[str, ...], rows: list[dict[str, object]], fmt: str) -> None:
+def _render_rows(header: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> None:
     if fmt == "text":
         _print_text_table(header, rows)
     elif fmt == "csv":
         _print_csv(header, rows)
     else:
-        print(json.dumps(_json_table_value(rows), indent=2))
+        print(json.dumps(_json_table_value(header, rows), indent=2))
 
 
 def cmd_nd(args: argparse.Namespace) -> int:
     if args.method == "all":
         report = flexdeg.flex_report(args.d)
-        _render_rows(TABLE_FIELDS, [dataclasses.asdict(report)], args.format)
+        _render_rows(FlexReport._fields, [report], args.format)
         return 0 if report.agree else 1
     if args.method == "sum":
-        raw, resolved = flexdeg.nd_double_sum(args.d)
-        fields = {"n_sum_raw": raw, "n_sum_resolved": resolved}
+        fields, values = ("n_sum_raw", "n_sum_resolved"), flexdeg.nd_double_sum(args.d)
     else:
         field, func = {
             "closed": ("n_closed", flexdeg.nd_closed),
@@ -107,17 +105,15 @@ def cmd_nd(args: argparse.Namespace) -> int:
             "monomial": ("n_chern_monomial", flexdeg.nd_chern_monomial),
             "schubert": ("n_chern_schubert", flexdeg.nd_chern_schubert),
         }[args.method]
-        fields = {field: func(args.d)}
+        fields, values = (field,), (func(args.d),)
     if args.format == "text":
-        if len(fields) == 1:
-            print(next(iter(fields.values())))
+        if len(values) == 1:
+            print(values[0])
         else:
-            for name, value in fields.items():
+            for name, value in zip(fields, values):
                 print(f"{name} {value}")
     else:
-        header = ("d", *fields)
-        row = {"d": args.d, **fields}
-        _render_rows(header, [row], args.format)
+        _render_rows(("d", *fields), [(args.d, *values)], args.format)
     return 0
 
 
@@ -125,7 +121,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.d_from > args.d_to:
         build_parser().error(f"--from {args.d_from} exceeds --to {args.d_to}")
     reports = flexdeg.cross_check(args.d_from, args.d_to)
-    _render_rows(TABLE_FIELDS, [dataclasses.asdict(r) for r in reports], args.format)
+    _render_rows(FlexReport._fields, reports, args.format)
     return 0 if all(r.agree for r in reports) else 1
 
 
@@ -135,16 +131,13 @@ def cmd_yz(args: argparse.Namespace) -> int:
         for value in values:
             print(value)
     else:
-        header = ("n", "a")
-        rows = [{"n": n, "a": v} for n, v in enumerate(values)]
-        _render_rows(header, rows, args.format)
+        _render_rows(("n", "a"), enumerate(values), args.format)
     return 0
 
 
 def cmd_crossover(args: argparse.Namespace) -> int:
     report = qseries.crossover(args.max_d)
     header = qseries.CrossoverRow._fields
-    rows = [r._asdict() for r in report.rows]
     exact = report.first_flex_dominant
     model = report.model_first_flex_dominant
     if exact is None:
@@ -156,14 +149,14 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     note = f"claimed switch window: {CLAIMED_WINDOW}; {verdict}"
     if args.format == "json":
         obj = {
-            "rows": _json_table_value(rows),
+            "rows": _json_table_value(header, report.rows),
             "first_flex_dominant": None if exact is None else str(exact),
             "model_first_flex_dominant": None if model is None else str(model),
             "claimed_window": CLAIMED_WINDOW,
         }
         print(json.dumps(obj, indent=2))
         return 0
-    _render_rows(header, rows, args.format)
+    _render_rows(header, report.rows, args.format)
     prefix = "# " if args.format == "csv" else ""
     for basis, first in (("exact coefficients", exact), ("growth models", model)):
         found = f"none up to d={args.max_d}" if first is None else first
@@ -175,16 +168,16 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 def cmd_asym(args: argparse.Namespace) -> int:
     compute = {"flex": qseries.asym_flex, "yz": qseries.asym_yz}
     kinds = tuple(compute) if args.kind == "both" else (args.kind,)
+    header = ("kind", *qseries.AsymReport._fields)
     rows = []
     for kind in kinds:
-        report = dataclasses.asdict(compute[kind](args.d))
-        logs = {name: f"{value:.9f}" for name, value in report.items() if name != "d"}
-        rows.append({"kind": kind, "d": report["d"], **logs})
+        d, *logs = compute[kind](args.d)
+        rows.append((kind, d, *(f"{value:.9f}" for value in logs)))
     if args.format == "text":
-        for row in rows:
-            print(row["kind"], *(f"{name}={row[name]}" for name in ASYM_FIELDS[1:]))
+        for kind, *values in rows:
+            print(kind, *map("{}={}".format, header[1:], values))
     else:
-        _render_rows(ASYM_FIELDS, rows, args.format)
+        _render_rows(header, rows, args.format)
     return 0
 
 
@@ -288,10 +281,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         name, status, seconds, detail = run_check(name, check, args.debug)
         if args.format == "text":
             print(f"FAIL {name}: {detail}" if status == "FAIL" else f"PASS {name}")
-        rows.append(dict(zip(header, (name, status, f"{seconds:.3f}", detail))))
+        rows.append((name, status, f"{seconds:.3f}", detail))
     if args.format != "text":
         _render_rows(header, rows, args.format)
-    return 0 if all(row["status"] == "PASS" for row in rows) else 1
+    return 0 if all(status == "PASS" for _, status, _, _ in rows) else 1
 
 
 @functools.cache

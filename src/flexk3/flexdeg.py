@@ -40,18 +40,21 @@ range, otherwise an ArithmeticError flags the build as broken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from .exact import catalan, exact_div
 from .schubert import _sigma1_step, monomial_integral
 from .truncpoly import chern_total
 
 
-@dataclass(frozen=True)
-class FlexReport:
-    """All method values for one d; agree covers the five resolved values."""
+class FlexReport(NamedTuple):
+    """All method values for one d; agree covers the five resolved values.
+
+    A tuple: it unpacks and compares as one, and _fields names its columns
+    in order, the header of `flexk3 table`.
+    """
 
     d: int
     n_closed: int

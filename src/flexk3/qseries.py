@@ -46,7 +46,6 @@ too many digits for float conversion.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 import math
 from operator import mul, sub
 from typing import NamedTuple
@@ -55,9 +54,11 @@ from .exact import binomial, exact_div
 from .flexdeg import nd_closed
 
 
-@dataclass(frozen=True)
-class AsymReport:
-    """Exact log versus growth-model log; log_ratio = log_exact - log_model."""
+class AsymReport(NamedTuple):
+    """Exact log versus growth-model log; log_ratio = log_exact - log_model.
+
+    A tuple, so `d, *logs = asym_flex(d)` unpacks it.
+    """
 
     d: int
     log_exact: float
@@ -72,12 +73,12 @@ class CrossoverRow(NamedTuple):
     flex_larger: bool
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Flex vs Yau-Zaslow comparison over d = 1..max_d.
+class CrossoverReport(NamedTuple):
+    """Flex vs Yau-Zaslow comparison over d = 1..max_d, a tuple like its rows.
 
-    first_flex_dominant is the smallest d with n_d > yz_d (None if the
-    range never gets there); model_first_flex_dominant is the same
+    rows holds one CrossoverRow per d.  first_flex_dominant is the
+    smallest d with n_d > yz_d (None if the range never gets there);
+    model_first_flex_dominant is the same
     comparison applied to the two growth models, reported separately
     because the two notions of "switch" need not land on the same d.
     """

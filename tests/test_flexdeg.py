@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from schubert_reference import mul_sigma2, pieri_sigma1
 
-from flexk3 import flexdeg
+from flexk3 import cli, flexdeg
 from flexk3.exact import catalan, exact_div
 from flexk3.flexdeg import (
     _double_sum_raw,
@@ -149,8 +149,12 @@ def test_rejects_nonpositive_d():
         nd_double_sum(-1)
 
 
-def test_flex_report_fields():
-    assert flex_report(4) == FlexReport(4, 1764, 1764, -1764, 1764, 1764, 1764, True)
+def test_flex_report_fields(capsys):
+    report = flex_report(4)
+    assert report == FlexReport(4, 1764, 1764, -1764, 1764, 1764, 1764, True)
+    assert tuple(report) == (4, 1764, 1764, -1764, 1764, 1764, 1764, True)
+    assert cli.main(["table", "--from", "4", "--to", "4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == ",".join(FlexReport._fields)
 
 
 def test_cross_check_range_validation():

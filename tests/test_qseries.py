@@ -9,7 +9,7 @@ from operator import add, mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flexk3 import qseries
+from flexk3 import cli, qseries
 from flexk3.exact import binomial, exact_div
 from flexk3.qseries import (
     CrossoverRow,
@@ -177,13 +177,25 @@ def test_prefix_cache_serves_any_request_order(bounds):
         assert series == reference_600()[: N + 1]
 
 
-@pytest.mark.parametrize("poisoned_at", [1, 100, 200])
-def test_poisoned_cache_fails_loudly(monkeypatch, poisoned_at):
+# A poison of 1 breaks an exact division of the extension to q^300.  One of
+# lcm(1..300) passes all of them, so only the divisor-sum certificate sees it.
+LCM_TO_300 = math.lcm(*range(1, 301))
+
+
+@pytest.mark.parametrize(
+    "poisoned_at, delta, message",
+    [pytest.param(at, 1, "to divide", id=str(at)) for at in (1, 100, 200)]
+    + [
+        pytest.param(at, LCM_TO_300, r"divisor-sum identity at q\^300", id=f"{at}-lcm")
+        for at in (1, 100, 200)
+    ],
+)
+def test_poisoned_cache_fails_loudly(monkeypatch, poisoned_at, delta, message):
     poisoned = list(reference_600()[:201])
-    poisoned[poisoned_at] += 1
+    poisoned[poisoned_at] += delta
     poisoned = tuple(poisoned)
     monkeypatch.setattr(qseries, "_longest", poisoned)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=message):
         euler_power_neg24(300)
     assert qseries._longest is poisoned
 
@@ -233,9 +245,14 @@ def test_series_requires_positive_bound():
         yz_multiple(0)
 
 
-def test_crossover_first_row():
-    report = crossover(3)
-    assert report.rows[0] == CrossoverRow(1, 3, 324, False)
+def test_crossover_first_row(capsys):
+    rows, first, model_first = crossover(3)
+    assert rows[0] == CrossoverRow(1, 3, 324, False)
+    assert cli.main(["crossover", "--max-d", "3", "--format", "csv"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert lines == [",".join(CrossoverRow._fields)] + [
+        f"{d},{n_d},{yz_d},{str(larger).lower()}" for d, n_d, yz_d, larger in rows
+    ]
 
 
 def test_crossover_switch_location():
@@ -283,7 +300,9 @@ def test_log_int_huge_values():
 
 def test_asym_flex_report_fields():
     report = asym_flex(1)
-    assert report.d == 1
+    d, *logs = report
+    assert d == report.d == 1
+    assert logs == [report.log_exact, report.log_model, report.log_ratio]
     assert math.isclose(report.log_exact, math.log(3), rel_tol=1e-12)
     assert math.isclose(
         report.log_ratio, report.log_exact - report.log_model, rel_tol=1e-12
