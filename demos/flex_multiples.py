@@ -2,8 +2,8 @@
 
 A degree-2d polarized K3 surface carries a flex divisor lying in |n_d L|
 with n_d = (2d+1) C(d)^2.  The point of this package is that the same
-integer falls out of four very different computations; this script runs
-all of them side by side.
+integer falls out of five independent routes; this script runs all of
+them side by side.
 """
 
 from flexk3 import cross_check, nd_double_sum
@@ -13,7 +13,8 @@ print()
 header = f"{'d':>2}  {'closed':>12}  {'factorial':>12}  {'sum raw':>12}  {'chern/monomial':>14}  {'chern/schubert':>14}"
 print(header)
 print("-" * len(header))
-for report in cross_check(1, 9):
+reports = cross_check(1, 9)
+for report in reports:
     print(
         f"{report.d:>2}  {report.n_closed:>12}  {report.n_factorial:>12}  "
         f"{report.n_sum_raw:>12}  {report.n_chern_monomial:>14}  {report.n_chern_schubert:>14}"
@@ -27,4 +28,4 @@ raw, resolved = nd_double_sum(6)
 print(f"  d=6: raw = {raw}, resolved = {resolved}")
 
 print()
-print("Agreement for d = 1..9:", all(r.agree for r in cross_check(1, 9)))
+print("Agreement for d = 1..9:", all(r.agree for r in reports))

@@ -20,14 +20,15 @@ one dot product and one asserted exact division by n per coefficient:
 about 0.94 N^(3/2) small-times-bigint multiply-adds to q^N, 84 thousand
 at N = 2000.  The recurrence reads only earlier coefficients, so the
 process keeps the longest series built so far and a longer request
-extends it, never rebuilds it; a shorter one is a slice of it.  Each
-extension is certified at its new top index by the
-logarithmic-derivative identity
+extends it, never rebuilds it; a shorter one is a slice of it.  An
+extension grows it by at least a quarter, so a rising run of requests
+extends O(log N) times, and a request just past it pays up to about 40%
+of a full build for that.  Each extension is certified at its new top
+index by the logarithmic-derivative identity
 
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
 
-with the divisor sums sigma(k) kept beside the series, and raises
-ArithmeticError if it fails.  An independent oracle builds
+and raises ArithmeticError if it fails.  An independent oracle builds
 prod (1 - q^n) factor by factor, takes its 24th power as five products of
 packed integers (Kronecker substitution), checks Ramanujan's congruence
 tau(m) = sigma_11(m) (mod 691) on the result and inverts it, using no
@@ -99,10 +100,8 @@ def divisor_sums(N: int) -> list[int]:
     return sums
 
 
-# The longest series a(0..) built so far in this process, and the divisor
-# sums sigma(0..) that its certificates read.
+# The longest series a(0..) built so far in this process.
 _longest: tuple[int, ...] = ()
-_sigma: list[int] = []
 
 
 def _jacobi_cube_terms(N: int) -> list[tuple[int, int]]:
@@ -118,18 +117,9 @@ def _jacobi_cube_terms(N: int) -> list[tuple[int, int]]:
 
 def _certify(a: list[int]) -> None:
     """Raise ArithmeticError unless N a(N) = 24 sum_{k=1}^{N} sigma(k) a(N-k),
-    N = len(a) - 1: the logarithmic derivative of prod (1 - q^n)^(-24).
-
-    The divisor sums outlive the call.  A request past them sieves anew to
-    max(N, 2M), M the last index sieved: at most twice the sieve that one
-    request needs, so that a rising run of requests sieves O(log N) times
-    instead of once per extension.
-    """
-    global _sigma
+    N = len(a) - 1: the logarithmic derivative of prod (1 - q^n)^(-24)."""
     N = len(a) - 1
-    if N >= len(_sigma):
-        _sigma = divisor_sums(max(N, 2 * (len(_sigma) - 1)))
-    if N * a[N] != 24 * sum(map(mul, _sigma[1 : N + 1], reversed(a[:N]))):
+    if N * a[N] != 24 * sum(map(mul, divisor_sums(N)[1:], reversed(a[:N]))):
         raise ArithmeticError(f"series fails the divisor-sum identity at q^{N}")
 
 
@@ -137,25 +127,26 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
     """Coefficients a(0..N) of prod (1 - q^n)^(-24), a(n) at index n.
 
     A request up to the longest series built so far in this process is a
-    slice of it.  A longer one extends it to exactly N by the power
-    recurrence n a(n) = -sum_k c_k (n + 7 t_k) a(n - t_k) over Jacobi's
-    terms (t_k, c_k) with t_k <= n, one asserted exact division by n per
-    new coefficient, is certified at q^N by the divisor-sum identity, and
-    replaces it.  Extending from length M to N costs about
-    0.94 (N^(3/2) - M^(3/2)) bigint multiply-adds for the new
-    coefficients, plus the certificate: an N-term dot product, and a
-    divisor-sum sieve whenever N passes the sums sieved so far.
+    slice of it.  A longer one extends it to top = max(N, 5L // 4), L its
+    length, by the power recurrence n a(n) = -sum_k c_k (n + 7 t_k)
+    a(n - t_k) over Jacobi's terms (t_k, c_k) with t_k <= n, one asserted
+    exact division by n per new coefficient, is certified at q^top by the
+    divisor-sum identity (a sieve and a top-term dot product), and
+    replaces it.  The trade: a request just past the series builds up to
+    a quarter more than it asks for, at most about 40% of a full build,
+    and a rising run of requests extends O(log N) times.
     """
     global _longest
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if N >= len(_longest):
+        top = max(N, len(_longest) * 5 // 4)
         a = list(_longest) or [1]
-        terms = _jacobi_cube_terms(N)
+        terms = _jacobi_cube_terms(top)
         ts = [t for t, _ in terms]
         cs = [c for _, c in terms]
         t7s = [7 * t for t in ts]
-        for n in range(len(a), N + 1):
+        for n in range(len(a), top + 1):
             reads = map(a.__getitem__, map(n.__sub__, ts[: bisect_right(ts, n)]))
             weights = map(mul, cs, map(n.__add__, t7s))
             a.append(-exact_div(sum(map(mul, weights, reads)), n))
@@ -287,8 +278,9 @@ def asym_yz(d: int) -> AsymReport:
 def crossover(max_d: int) -> CrossoverReport:
     """Compare n_d against yz_d for d = 1..max_d.
 
-    The series is built once to index max_d + 1, or sliced from a longer
-    one this process already holds.  After the first d with
+    The series comes from one euler_power_neg24 call: built to index
+    max_d + 1 (or further, when it extends a shorter series this process
+    holds), or sliced from a longer one.  After the first d with
     n_d > yz_d the dominance must persist through the rest of the range
     (n_d grows like 16^d, yz_d only like e^(4 pi sqrt(d))); a violation
     raises ArithmeticError since it would mean an arithmetic bug.

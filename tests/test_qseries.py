@@ -139,6 +139,8 @@ def test_product_oracle_checks_ramanujan_congruence(monkeypatch):
 
 
 def test_rising_requests_sieve_divisor_sums_log_times(monkeypatch):
+    # One sieve per extension, at its top index: each grows the series to
+    # max(N, 5L/4), L its length, so d = 1..599 extends 23 times.
     sieved = []
 
     def recording_sums(N):
@@ -146,10 +148,12 @@ def test_rising_requests_sieve_divisor_sums_log_times(monkeypatch):
         return divisor_sums(N)
 
     monkeypatch.setattr(qseries, "_longest", ())
-    monkeypatch.setattr(qseries, "_sigma", [])
     monkeypatch.setattr(qseries, "divisor_sums", recording_sums)
     assert [yz_multiple(d) for d in range(1, 600)] == list(reference_600()[2:])
-    assert sieved == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
+    assert sieved == [
+        *(2, 3, 5, 7, 10, 13, 17, 22, 28, 36, 46, 58),
+        *(73, 92, 116, 146, 183, 230, 288, 361, 452, 566, 708),
+    ]
 
 
 def test_jacobi_terms_match_direct_cube():
@@ -169,6 +173,7 @@ def test_jacobi_series_matches_sigma_recurrence():
 @given(st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=8))
 @example([1, 2, 1, 150, 150, 149])  # one past the cached length, then hits
 @example([3, 7, 302, 600, 12, 599])  # growing extensions, then slices
+@example([400, 401, 450])  # one past the cached length grows by a quarter, then a slice
 def test_prefix_cache_serves_any_request_order(bounds):
     qseries._longest = ()
     for N in bounds:
@@ -179,24 +184,27 @@ def test_prefix_cache_serves_any_request_order(bounds):
 
 # A poison of 1 breaks an exact division of the extension to q^300.  One of
 # lcm(1..300) passes all of them, so only the divisor-sum certificate sees it.
+# A request for 210 is past the 201 cached coefficients but short of a quarter
+# more, so its extension, and the certificate, runs to q^251.
 LCM_TO_300 = math.lcm(*range(1, 301))
 
 
 @pytest.mark.parametrize(
-    "poisoned_at, delta, message",
-    [pytest.param(at, 1, "to divide", id=str(at)) for at in (1, 100, 200)]
+    "poisoned_at, delta, asked, message",
+    [pytest.param(at, 1, 300, "to divide", id=str(at)) for at in (1, 100, 200)]
     + [
-        pytest.param(at, LCM_TO_300, r"divisor-sum identity at q\^300", id=f"{at}-lcm")
+        pytest.param(at, LCM_TO_300, 300, r"divisor-sum identity at q\^300", id=f"{at}-lcm")
         for at in (1, 100, 200)
-    ],
+    ]
+    + [pytest.param(200, LCM_TO_300, 210, r"divisor-sum identity at q\^251", id="200-lcm-grown")],
 )
-def test_poisoned_cache_fails_loudly(monkeypatch, poisoned_at, delta, message):
+def test_poisoned_cache_fails_loudly(monkeypatch, poisoned_at, delta, asked, message):
     poisoned = list(reference_600()[:201])
     poisoned[poisoned_at] += delta
     poisoned = tuple(poisoned)
     monkeypatch.setattr(qseries, "_longest", poisoned)
     with pytest.raises(ArithmeticError, match=message):
-        euler_power_neg24(300)
+        euler_power_neg24(asked)
     assert qseries._longest is poisoned
 
 
@@ -212,6 +220,10 @@ def test_extension_divides_once_per_new_coefficient(monkeypatch):
     monkeypatch.setattr(qseries, "exact_div", recording_div)
     assert euler_power_neg24(400) == reference_600()[:401]
     assert divisors == list(range(301, 401))
+    divisors.clear()
+    # one past the cached q^400 extends by a quarter of its 401 terms
+    assert euler_power_neg24(401) == reference_600()[:402]
+    assert divisors == list(range(401, 502))
 
 
 def test_certificate_catches_a_wrong_jacobi_sign(monkeypatch):
