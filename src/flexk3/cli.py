@@ -11,7 +11,8 @@ selftest runs the registry SELFTEST_CHECKS, whose docstrings state each
 criterion; in csv and json it prints one row per check (name, status,
 seconds, detail).  The acceptance suite runs the same registry.  Rows are
 tuples, the package's NamedTuple records or plain tuples, rendered
-against a header that for a record is its _fields.  All
+against a header that for a record is its _fields.  CSV quotes a cell,
+doubling its '"', only when it holds ',', '"', '\n' or '\r'.  All
 integers are printed in full decimal; json renders them as decimal
 strings so consumers never lose precision, and main lifts CPython's
 limit on the digits of an int printed as a string while it runs.
@@ -20,7 +21,6 @@ limit on the digits of an int printed as a string while it runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -67,10 +67,18 @@ def _print_text_table(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
         print("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
 
 
+def _csv_field(value: object) -> str:
+    """_cell(value), quoted by RFC 4180 as csv.writer does, except that
+    3.10-3.12's csv.writer leaves a lone '\\r' unquoted (no CLI cell holds one)."""
+    text = _cell(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _print_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(_cell, row) for row in rows)
+    sys.stdout.write(",".join(map(_csv_field, header)) + "\n")
+    sys.stdout.writelines(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
 def _json_table_value(header: tuple[str, ...], rows: Iterable[tuple]) -> list[dict[str, object]]:

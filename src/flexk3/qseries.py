@@ -146,8 +146,9 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
         ts = [t for t, _ in terms]
         cs = [c for _, c in terms]
         t7s = [7 * t for t in ts]
+        back = [-t for t in ts]  # a[-t] is a(n - t) while len(a) == n
         for n in range(len(a), top + 1):
-            reads = map(a.__getitem__, map(n.__sub__, ts[: bisect_right(ts, n)]))
+            reads = map(a.__getitem__, back[: bisect_right(ts, n)])
             weights = map(mul, cs, map(n.__add__, t7s))
             a.append(-exact_div(sum(map(mul, weights, reads)), n))
         _certify(a)
@@ -278,30 +279,32 @@ def asym_yz(d: int) -> AsymReport:
 def crossover(max_d: int) -> CrossoverReport:
     """Compare n_d against yz_d for d = 1..max_d.
 
-    The series comes from one euler_power_neg24 call: built to index
-    max_d + 1 (or further, when it extends a shorter series this process
-    holds), or sliced from a longer one.  After the first d with
-    n_d > yz_d the dominance must persist through the rest of the range
-    (n_d grows like 16^d, yz_d only like e^(4 pi sqrt(d))); a violation
-    raises ArithmeticError since it would mean an arithmetic bug.
+    n_d steps from n_1 = 3 by n_{d+1} = n_d 4(2d+1)(2d+3) / (d+2)^2, an
+    asserted exact division, and n_max_d must equal nd_closed(max_d).  The
+    series comes from one euler_power_neg24 call: built to index max_d + 1
+    (or further, when it extends a shorter series this process holds), or
+    sliced from a longer one.  After the first d with n_d > yz_d the
+    dominance must persist through the rest of the range (n_d grows like
+    16^d, yz_d only like e^(4 pi sqrt(d))).  A failed check raises
+    ArithmeticError since it would mean an arithmetic bug.
     """
     if max_d < 1:
         raise ValueError(f"max_d must be positive, got {max_d}")
+    flex_column = [3]
+    for d in range(1, max_d):
+        flex_column.append(exact_div(flex_column[-1] * 4 * (2 * d + 1) * (2 * d + 3), (d + 2) ** 2))
+    if flex_column[-1] != nd_closed(max_d):
+        raise ArithmeticError(f"stepped n_{max_d} differs from nd_closed({max_d})")
     series = euler_power_neg24(max_d + 1)
     rows = []
     first = None
-    for d in range(1, max_d + 1):
-        flex = nd_closed(d)
-        yz = series[d + 1]
+    for d, flex, yz in zip(range(1, max_d + 1), flex_column, series[2:]):
         larger = flex > yz
         if larger and first is None:
             first = d
         if first is not None and not larger:
             raise ArithmeticError(f"crossover not permanent: n_{d} <= yz_{d} after d={first}")
         rows.append(CrossoverRow(d, flex, yz, larger))
-    model_first = None
-    for d in range(1, max_d + 1):
-        if flex_log_model(d) > yz_log_model(d):
-            model_first = d
-            break
+    models = (d for d in range(1, max_d + 1) if flex_log_model(d) > yz_log_model(d))
+    model_first = next(models, None)
     return CrossoverReport(rows, first, model_first)

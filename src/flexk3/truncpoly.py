@@ -6,14 +6,17 @@ Routes 4 and 5 of flexdeg pair sigma1 against one graded part of
 
 over the Grassmannian, where s1 (degree 1) and s2 (degree 2) stand for
 the Schubert generators sigma1, sigma2.  That part has a closed form, one
-product of two binomials per monomial, so no polynomial ring is built:
-chern_total(d) costs O(d) binomials.
+product of two binomials per monomial, walked by its term ratio, so no
+polynomial ring is built: chern_total(d) costs one binomial and d - 1
+asserted exact divisions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+
+from .exact import exact_div
 
 
 @lru_cache(maxsize=None)
@@ -27,10 +30,14 @@ def chern_total(d: int) -> tuple[int, ...]:
 
     a polynomial in s1 for n <= d - 1, so
     c_n = (-1)^(n+1) C(n+d+1, n) C(3d-n, 2d-1-2n), nonzero since
-    2d-1-2n <= 3d-n.  Cached: both intersection routes read it.
+    2d-1-2n <= 3d-n.  From c_0 = -C(3d, 2d-1), with a = 3d-n and
+    b = 2d-1-2n, c_{n+1} = -c_n (n+d+2) b(b-1) / ((n+1) a(a-b+1)), an
+    asserted exact division.  Cached: both intersection routes read it.
     """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    return tuple(
-        (-1) ** (n + 1) * comb(n + d + 1, n) * comb(3 * d - n, 2 * d - 1 - 2 * n) for n in range(d)
-    )
+    coefs = [-comb(3 * d, 2 * d - 1)]
+    for n in range(d - 1):
+        a, b = 3 * d - n, 2 * d - 1 - 2 * n
+        coefs.append(exact_div(-coefs[-1] * (n + d + 2) * b * (b - 1), (n + 1) * a * (a - b + 1)))
+    return tuple(coefs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexk3 import cli
 
@@ -206,17 +208,49 @@ def test_selftest_json_one_row_per_check(capsys):
 
 
 def test_selftest_csv_failure_row(capsys, monkeypatch):
-    def broken():
-        raise AssertionError("sign unresolved, raw=3")
+    for message in ("sign unresolved, raw=3", 'sign "unresolved", raw=3'):
 
-    monkeypatch.setattr(cli, "SELFTEST_CHECKS", [("double-sum", broken)])
-    code, out = run_cli(capsys, "selftest", "--format", "csv")
-    assert code == 1
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 1
-    assert rows[0]["name"] == "double-sum"
-    assert rows[0]["status"] == "FAIL"
-    assert rows[0]["detail"] == "sign unresolved, raw=3"
+        def broken():
+            raise AssertionError(message)
+
+        monkeypatch.setattr(cli, "SELFTEST_CHECKS", [("double-sum", broken)])
+        code, out = run_cli(capsys, "selftest", "--format", "csv")
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        assert rows[0]["name"] == "double-sum"
+        assert rows[0]["status"] == "FAIL"
+        assert rows[0]["detail"] == message
+    row = out.splitlines()[1]
+    assert row.startswith("double-sum,FAIL,")
+    assert row.endswith(',"sign ""unresolved"", raw=3"')
+
+
+CSV_TEXT = st.text(alphabet=',"\n abcXYZ0189', max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda width: st.tuples(
+            st.tuples(*[CSV_TEXT] * width),
+            st.lists(st.tuples(*[st.one_of(st.integers(), st.booleans(), CSV_TEXT)] * width), max_size=4),
+        )
+    )
+)
+def test_print_csv_matches_csv_writer(table):
+    header, rows = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(cli._cell, row) for row in rows)
+    with contextlib.redirect_stdout(io.StringIO()) as got:
+        cli._print_csv(header, rows)
+    assert got.getvalue() == expected.getvalue()
+
+
+def test_csv_quotes_a_carriage_return():
+    assert cli._csv_field("a\rb") == '"a\rb"'
 
 
 def test_output_deterministic(capsys):

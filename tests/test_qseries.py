@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flexk3 import cli, qseries
 from flexk3.exact import binomial, exact_div
+from flexk3.flexdeg import nd_closed
 from flexk3.qseries import (
     CrossoverRow,
     asym_flex,
@@ -286,6 +287,16 @@ def test_crossover_permanence_to_64():
     report = crossover(64)
     assert report.first_flex_dominant == 10
     assert all(row.flex_larger for row in report.rows if row.d >= 10)
+
+
+def test_crossover_column_equals_closed_form_to_2000():
+    assert [row.n_d for row in crossover(2000).rows] == [nd_closed(d) for d in range(1, 2001)]
+
+
+def test_crossover_column_checked_against_closed_form(monkeypatch):
+    monkeypatch.setattr(qseries, "nd_closed", lambda d: nd_closed(d) + 1)
+    with pytest.raises(ArithmeticError, match="nd_closed"):
+        crossover(50)
 
 
 def test_log_int_moderate_values():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from flexk3.flexdeg import nd_chern_monomial
@@ -64,6 +66,14 @@ def test_chern_total_matches_dense_oracle():
         row = dense_chern_rows(d)[2 * d - 1]
         assert all(row)
         assert chern_total(d) == tuple(row)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 57, 200, 1000, 2000])
+def test_chern_total_steps_equal_two_binomial_form(d):
+    reference = tuple(
+        (-1) ** (n + 1) * comb(n + d + 1, n) * comb(3 * d - n, 2 * d - 1 - 2 * n) for n in range(d)
+    )
+    assert chern_total(d) == reference
 
 
 def test_minus_signs_cancel():
