@@ -21,14 +21,15 @@ This module computes n_d five ways and cross-validates:
                       products and 3(d-1) small exact divisions
   4. nd_chern_monomial   intersection theory: expand the total Chern
                       class of the relevant tautological bundle, pair its
-                      degree-(2d-1) part against sigma1 using the
-                      closed-form monomial integrals
+                      degree-(2d-1) part against sigma1; the monomial
+                      integrals C(d-n) step down from one closed form
   5. nd_chern_schubert   the same pairing evaluated by a Horner sweep in
                       the Schubert basis, no closed-form integrals
 
 Routes 4 and 5 share the degree-(2d-1) Chern part, chern_total's d
-closed-form coefficients (two binomials each), but integrate
-independently: route 5 is a Horner sweep of 2d sigma1 steps
+coefficients (one binomial, then d-1 ratio steps), but integrate
+independently: route 4 against a Catalan column (one closed-form
+integral, then d ratio steps), route 5 by a Horner sweep of 2d sigma1 steps
 (schubert._sigma1_step, the package's one Pieri engine) on one graded
 piece kept as a plain list: O(d) Python-level operations, with the
 O(d^2) coefficient additions done at C level (one Pieri walk per
@@ -169,12 +170,18 @@ def nd_chern_monomial(d: int) -> int:
     """Pair sigma1 against the degree-(2d-1) Chern part via monomial integrals.
 
     n_d = - integral of sigma1 * c_(2d-1), the coefficient c_n of s1^(2d-1-2n)
-    s2^n contributing c_n times the closed-form integral of s1^(2d-2n) s2^n.
+    s2^n contributing c_n times the integral of s1^(2d-2n) s2^n, C(d-n): C(d)
+    = monomial_integral(2d, 0, d), stepped by C(h-1) = C(h) (h+1)/(2(2h-1)),
+    exact divisions that must end at C(0) = 1, else ArithmeticError.
     """
     _require_positive(d)
+    integral = monomial_integral(2 * d, 0, d)
     total = 0
-    for n, coef in enumerate(chern_total(d)):
-        total += coef * monomial_integral(2 * (d - n), n, d)
+    for h, coef in zip(range(d, 0, -1), chern_total(d)):
+        total += coef * integral
+        integral = exact_div(integral * (h + 1), 2 * (2 * h - 1))
+    if integral != 1:
+        raise ArithmeticError(f"Catalan column of d={d} ends at {integral}, not C(0) = 1")
     return -total
 
 

@@ -16,15 +16,15 @@ q^(n-1) is the forward recurrence
 
     n a(n) = -sum_{k >= 1, t_k <= n} c_k (n + 7 t_k) a(n - t_k),
 
-one dot product and one asserted exact division by n per coefficient:
-about 0.94 N^(3/2) small-times-bigint multiply-adds to q^N, 84 thousand
-at N = 2000.  The recurrence reads only earlier coefficients, so the
-process keeps the longest series built so far and a longer request
-extends it, never rebuilds it; a shorter one is a slice of it.  An
-extension grows it by at least a quarter, so a rising run of requests
-extends O(log N) times, and a request just past it pays up to about 40%
-of a full build for that.  Each extension is certified at its new top
-index by the logarithmic-derivative identity
+per coefficient three C-level passes (step the weights c_k (n + 7 t_k) by
+c_k, gather the a(n - t_k) with one itemgetter, sum their products) and
+one asserted exact division by n: about 0.94 N^(3/2) small-times-bigint
+multiply-adds to q^N, 84 thousand at N = 2000.  The recurrence reads only
+earlier coefficients, so the process keeps the longest series built so far
+and a longer request extends it, never rebuilds it; a shorter one is a
+slice of it.  An extension grows it by at least a quarter, so a rising run
+of requests extends O(log N) times.  Each extension is certified at its
+new top index by the logarithmic-derivative identity
 
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 import math
-from operator import mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
 from .exact import binomial, exact_div
@@ -143,14 +143,14 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
         top = max(N, len(_longest) * 5 // 4)
         a = list(_longest) or [1]
         terms = _jacobi_cube_terms(top)
-        ts = [t for t, _ in terms]
-        cs = [c for _, c in terms]
-        t7s = [7 * t for t in ts]
-        back = [-t for t in ts]  # a[-t] is a(n - t) while len(a) == n
+        ts, cs = zip(*terms)
+        weights = [c * (len(a) - 1 + 7 * t) for t, c in terms]  # c_k (n + 7 t_k), n = len(a) - 1
+        # reads[k - 1](a) is (a(n - t_1), ..., a(n - t_k)) while len(a) == n
+        reads = [itemgetter(*[-t for t in ts[:k]]) for k in range(1, len(ts) + 1)]
+        reads[0] = lambda seq: (seq[-1],)  # itemgetter(-1) returns a scalar
         for n in range(len(a), top + 1):
-            reads = map(a.__getitem__, back[: bisect_right(ts, n)])
-            weights = map(mul, cs, map(n.__add__, t7s))
-            a.append(-exact_div(sum(map(mul, weights, reads)), n))
+            weights = list(map(add, weights, cs))
+            a.append(-exact_div(sum(map(mul, weights, reads[bisect_right(ts, n) - 1](a))), n))
         _certify(a)
         _longest = tuple(a)
     return _longest[: N + 1]
@@ -222,10 +222,10 @@ def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
         raise ValueError(f"N must be at least 1, got {N}")
     power = _euler_power_24(N)  # tau(n + 1) at index n
     _check_ramanujan_691(power)
-    coeffs = [1] + [0] * N
-    for n in range(1, N + 1):
-        coeffs[n] = -sum(map(mul, power[1 : n + 1], coeffs[n - 1 :: -1]))
-    return tuple(coeffs)
+    tail, backward = power[1:], [1]  # backward holds a(n - 1), ..., a(0)
+    for _ in range(N):
+        backward.insert(0, -sum(map(mul, tail, backward)))
+    return tuple(reversed(backward))
 
 
 def yz_multiple(d: int) -> int:

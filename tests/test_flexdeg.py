@@ -27,7 +27,7 @@ from flexk3.flexdeg import (
     nd_double_sum,
     nd_factorial,
 )
-from flexk3.schubert import _sigma1_step
+from flexk3.schubert import _sigma1_step, monomial_integral
 
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
 
@@ -135,6 +135,34 @@ def test_double_sum_matches_table():
 
 def test_chern_monomial_matches_table():
     assert [nd_chern_monomial(d) for d in range(1, 10)] == ND_FIRST_NINE
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 57, 1000, 2000])
+def test_chern_monomial_catalan_column_matches_closed_form(d):
+    assert nd_chern_monomial(d) == nd_closed(d)
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        (lambda c: c + 1, "to divide"),  # breaks an exact ratio step
+        (lambda c: 2 * c, r"ends at 2, not C\(0\) = 1"),  # passes every step
+    ],
+    ids=["plus-one", "doubled"],
+)
+def test_chern_monomial_checks_its_catalan_column(monkeypatch, wrong, message):
+    # the column is anchored at one closed-form integral, C(d); a wrong
+    # anchor must fail a ratio step or miss C(0) = 1 at the end
+    calls = []
+
+    def wrong_integral(m, n, d):
+        calls.append((m, n, d))
+        return wrong(monomial_integral(m, n, d))
+
+    monkeypatch.setattr(flexdeg, "monomial_integral", wrong_integral)
+    with pytest.raises(ArithmeticError, match=message):
+        nd_chern_monomial(5)
+    assert calls == [(10, 0, 5)]
 
 
 def test_chern_schubert_matches_table():

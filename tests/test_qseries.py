@@ -209,6 +209,18 @@ def test_poisoned_cache_fails_loudly(monkeypatch, poisoned_at, delta, asked, mes
     assert qseries._longest is poisoned
 
 
+def test_extension_resumes_from_every_short_prefix(monkeypatch):
+    # Prefixes of 1..64 coefficients start the extension on the one-term
+    # read (n = 1, 2) and at t_k - 1, t_k and t_k + 1 for every k <= 10, so
+    # the stepped weights and each gather are entered from every phase.
+    monkeypatch.setattr(qseries, "_longest", ())
+    fresh = euler_power_neg24(120)
+    assert fresh == euler_power_neg24_by_product(120) == reference_600()[:121]
+    for length in range(1, 65):
+        monkeypatch.setattr(qseries, "_longest", reference_600()[:length])
+        assert euler_power_neg24(120) == fresh, length
+
+
 def test_extension_divides_once_per_new_coefficient(monkeypatch):
     divisors = []
 
