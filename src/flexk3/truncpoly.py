@@ -19,7 +19,7 @@ from math import comb
 from .exact import exact_div
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def chern_total(d: int) -> tuple[int, ...]:
     """Degree-(2d-1) part of (1 - s1)^(4d+2) / (1 - s1 + s2)^(d+2).
 
@@ -32,7 +32,8 @@ def chern_total(d: int) -> tuple[int, ...]:
     c_n = (-1)^(n+1) C(n+d+1, n) C(3d-n, 2d-1-2n), nonzero since
     2d-1-2n <= 3d-n.  From c_0 = -C(3d, 2d-1), with a = 3d-n and
     b = 2d-1-2n, c_{n+1} = -c_n (n+d+2) b(b-1) / ((n+1) a(a-b+1)), an
-    asserted exact division.  Cached: both intersection routes read it.
+    asserted exact division.  The last d is cached: flex_report reads it
+    twice in a row, once per intersection route.
     """
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")

@@ -123,7 +123,23 @@ def test_factorial_makes_one_asserted_division(monkeypatch):
 
     monkeypatch.setattr(flexdeg, "exact_div", recording_div)
     assert nd_factorial(7) == ND_FIRST_NINE[6]
-    assert calls == [four_factorial_terms(7)]
+    assert calls == [(factorial(14), 8 * factorial(7) ** 2)]
+
+
+@pytest.mark.parametrize("d", [3578, 4000, 20000])
+def test_factorial_matches_closed_form_large_d(d):
+    assert nd_factorial(d) == nd_closed(d)
+
+
+def test_factorial_asserts_its_root_division(monkeypatch):
+    d = 7
+
+    def poisoned(n):
+        return factorial(n) + 1 if n == 2 * d else factorial(n)
+
+    monkeypatch.setattr(flexdeg, "factorial", poisoned)
+    with pytest.raises(ArithmeticError):
+        nd_factorial(d)
 
 
 def test_double_sum_matches_table():

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from flexk3.flexdeg import nd_chern_monomial
+from flexk3.flexdeg import cross_check, nd_chern_monomial
 from flexk3.schubert import monomial_integral
 from flexk3.truncpoly import chern_total
 
@@ -83,3 +83,10 @@ def test_minus_signs_cancel():
         positive = dense_chern_rows(d, sigma=1)[2 * d - 1]
         total = sum(coef * monomial_integral(2 * d - 2 * n, n, d) for n, coef in enumerate(positive))
         assert total == nd_chern_monomial(d)
+
+
+def test_chern_total_caches_one_entry():
+    chern_total.cache_clear()
+    cross_check(1, 50)
+    info = chern_total.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (50, 50, 1)
