@@ -95,8 +95,13 @@ def _render_rows(header: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> No
         _print_text_table(header, rows)
     elif fmt == "csv":
         _print_csv(header, rows)
-    else:
-        print(json.dumps(_json_table_value(header, rows), indent=2))
+    else:  # json.dumps(_json_table_value(header, rows), indent=2), written a row at a time
+        keys, opening = [f"    {json.dumps(name)}: " for name in header], "[\n  {\n"
+        for row in rows:
+            values = (json.dumps(v if isinstance(v, bool) else str(v)) for v in row)
+            sys.stdout.write(opening + ",\n".join(map(str.__add__, keys, values)))
+            opening = "\n  },\n  {\n"
+        sys.stdout.write("[]\n" if opening == "[\n  {\n" else "\n  }\n]\n")
 
 
 def cmd_nd(args: argparse.Namespace) -> int:

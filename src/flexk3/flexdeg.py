@@ -8,7 +8,7 @@ n_d of the polarization class, with
 
 This module computes n_d five ways and cross-validates:
 
-  1. nd_closed        the Catalan closed form above
+  1. nd_closed        the closed form above; C(2d, d) by prime powers from d = 512
   2. nd_factorial     the factorial quotient as (2d+1) R^2, where
                       R = (2d)!/((d+1) d!^2) is one asserted division of
                       half the printed size; two factorials

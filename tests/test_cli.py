@@ -350,3 +350,22 @@ def test_closed_stdout_pipe_exits_1_quietly():
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+JSON_TEXT = st.text(alphabet='"\\\n aZ0é€\U0001f600', max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda width: st.tuples(
+            st.lists(JSON_TEXT, min_size=width, max_size=width, unique=True).map(tuple),
+            st.lists(st.tuples(*[st.one_of(st.integers(), st.booleans(), JSON_TEXT)] * width), max_size=4),
+        )
+    )
+)
+def test_json_rows_match_json_dumps(table):
+    header, rows = table
+    with contextlib.redirect_stdout(io.StringIO()) as got:
+        cli._render_rows(header, rows, "json")
+    assert got.getvalue() == json.dumps(cli._json_table_value(header, rows), indent=2) + "\n"

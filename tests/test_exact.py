@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+from math import comb
 
-from flexk3.exact import binomial, catalan, exact_div
+import pytest
+from hypothesis import example, given, strategies as st
+
+from flexk3 import exact
+from flexk3.exact import PRIME_ROUTE_MIN_D, _central_binomial, binomial, catalan, exact_div
+from flexk3.flexdeg import nd_closed
 
 
 def test_binomial_known_values():
@@ -69,3 +73,35 @@ def test_catalan_recurrence():
     # (d+2) C(d+1) = (4d+2) C(d), exactly
     for d in range(201):
         assert catalan(d + 1) * (d + 2) == catalan(d) * (4 * d + 2)
+
+
+def test_central_binomial_by_primes_matches_comb():
+    # every d from 0, below the cutoff too, where catalan takes math.comb
+    for d in range(601):
+        assert _central_binomial(d) == comb(2 * d, d), d
+
+
+def test_catalan_takes_the_prime_route_from_the_cutoff(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exact, "_central_binomial", lambda d: calls.append(d) or comb(2 * d, d))
+    catalan(PRIME_ROUTE_MIN_D - 1)
+    catalan(PRIME_ROUTE_MIN_D)
+    assert calls == [PRIME_ROUTE_MIN_D]
+
+
+@given(st.integers(min_value=0, max_value=6000))
+@example(PRIME_ROUTE_MIN_D - 1)
+@example(PRIME_ROUTE_MIN_D)
+@example(PRIME_ROUTE_MIN_D + 1)
+@example(256)  # 2d = 512, 1024 and 2048 are powers of two
+@example(512)
+@example(1024)
+@example(516)  # 2d - 1 = 1031 and 8009 are prime, the top prime of the sieve
+@example(4005)
+def test_catalan_matches_comb(d):
+    assert catalan(d) == comb(2 * d, d) // (d + 1)
+
+
+def test_closed_form_matches_comb_at_d_20000():
+    d = 20000
+    assert nd_closed(d) == (2 * d + 1) * (comb(2 * d, d) // (d + 1)) ** 2
