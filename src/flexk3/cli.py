@@ -1,33 +1,35 @@
 """Command line front end for the flex-divisor computations.
 
-Subcommands: nd, table, yz, crossover, asym, selftest, each accepting
---format {text|csv|json}.  Exit codes are fixed: 0 success or agreement,
-1 cross-check disagreement or internal failure, 2 usage error.  The
-top-level --debug flag re-raises an internal failure, a failing selftest
-check included, with its traceback instead of printing it as one error
-or FAIL line with exit code 1.  A reader closing stdout early (as
-`| head` does) ends the command with exit code 1 and no message.
-selftest runs the registry SELFTEST_CHECKS, whose docstrings state each
-criterion; in csv and json it prints one row per check (name, status,
-seconds, detail).  The acceptance suite runs the same registry.  Rows are
-tuples, the package's NamedTuple records or plain tuples, rendered
-against a header that for a record is its _fields.  CSV quotes a cell,
-doubling its '"', only when it holds ',', '"', '\n' or '\r'.  All
-integers are printed in full decimal; json renders them as decimal
-strings so consumers never lose precision, and main lifts CPython's
-limit on the digits of an int printed as a string while it runs.
+COMMANDS lists the subcommands (nd, table, yz, crossover, asym, selftest)
+with each one's help line, handler and options, --format {text|csv|json}
+among them.  parse_args reads argv by it in one pass: `--name value`,
+`--name=value`, a unique prefix of a long name, `-d N` or `-dN`, the last
+one given winning.  The help pages and the usage line before a usage
+error are written from it too.  Exit codes are fixed: 0 success or
+agreement, 1 cross-check disagreement or internal failure, 2 usage error.
+The top-level --debug flag, given before the subcommand, re-raises an
+internal failure, a failing selftest check included, with its traceback
+instead of printing it as one error or FAIL line with exit code 1.  A
+reader closing stdout early (as `| head` does) ends the command with exit
+code 1 and no message.  selftest runs the registry SELFTEST_CHECKS, whose
+docstrings state each criterion; in csv and json it prints one row per
+check (name, status, seconds, detail).  The acceptance suite runs the same
+registry.  Rows are tuples, the package's NamedTuple records or plain
+tuples, rendered against a header that for a record is its _fields.
+Integers print in full decimal, in json as decimal strings; only the
+json output imports json.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
+import re
 import sys
 import time
 from math import comb
-from typing import Callable, Iterable
+from types import SimpleNamespace
+from typing import Callable, Iterable, NoReturn
 
 from . import flexdeg, qseries
 from .flexdeg import FlexReport
@@ -36,21 +38,6 @@ from .schubert import _sigma1_step, monomial_integral
 # The paper's claimed first flex-dominant d, as an inclusive range.
 CLAIMED_SWITCH = (8, 9)
 CLAIMED_WINDOW = "between d={} and d={}".format(*CLAIMED_SWITCH)
-
-
-def _int_at_least(low: int, rule: str) -> Callable[[str], int]:
-    """An argparse type for integers >= low; a smaller one fails with "<rule>, got <value>"."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
-        return value
-
-    return parse
 
 
 def _cell(value: object) -> str:
@@ -96,6 +83,7 @@ def _render_rows(header: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> No
     elif fmt == "csv":
         _print_csv(header, rows)
     else:  # json.dumps(_json_table_value(header, rows), indent=2), written a row at a time
+        import json
         keys, opening = [f"    {json.dumps(name)}: " for name in header], "[\n  {\n"
         for row in rows:
             values = (json.dumps(v if isinstance(v, bool) else str(v)) for v in row)
@@ -104,7 +92,7 @@ def _render_rows(header: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> No
         sys.stdout.write("[]\n" if opening == "[\n  {\n" else "\n  }\n]\n")
 
 
-def cmd_nd(args: argparse.Namespace) -> int:
+def cmd_nd(args: SimpleNamespace) -> int:
     if args.method == "all":
         report = flexdeg.flex_report(args.d)
         _render_rows(FlexReport._fields, [report], args.format)
@@ -130,15 +118,15 @@ def cmd_nd(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     if args.d_from > args.d_to:
-        build_parser().error(f"--from {args.d_from} exceeds --to {args.d_to}")
+        _fail("flexk3", _TOP, f"--from {args.d_from} exceeds --to {args.d_to}")
     reports = flexdeg.cross_check(args.d_from, args.d_to)
     _render_rows(FlexReport._fields, reports, args.format)
     return 0 if all(r.agree for r in reports) else 1
 
 
-def cmd_yz(args: argparse.Namespace) -> int:
+def cmd_yz(args: SimpleNamespace) -> int:
     values = qseries.euler_power_neg24(max(1, args.max_n))[: args.max_n + 1]
     if args.format == "text":
         for value in values:
@@ -148,7 +136,7 @@ def cmd_yz(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_crossover(args: argparse.Namespace) -> int:
+def cmd_crossover(args: SimpleNamespace) -> int:
     report = qseries.crossover(args.max_d)
     header = qseries.CrossoverRow._fields
     exact = report.first_flex_dominant
@@ -161,6 +149,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         verdict = f"exact comparison gives d={exact} (disagrees)"
     note = f"claimed switch window: {CLAIMED_WINDOW}; {verdict}"
     if args.format == "json":
+        import json
         obj = {
             "rows": _json_table_value(header, report.rows),
             "first_flex_dominant": None if exact is None else str(exact),
@@ -178,7 +167,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_asym(args: argparse.Namespace) -> int:
+def cmd_asym(args: SimpleNamespace) -> int:
     compute = {"flex": qseries.asym_flex, "yz": qseries.asym_yz}
     kinds = tuple(compute) if args.kind == "both" else (args.kind,)
     header = ("kind", *qseries.AsymReport._fields)
@@ -287,7 +276,7 @@ def run_check(
     return name, status, time.perf_counter() - start, detail
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def cmd_selftest(args: SimpleNamespace) -> int:
     header = ("name", "status", "seconds", "detail")
     rows = []
     for name, check in SELFTEST_CHECKS:
@@ -300,61 +289,143 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(status == "PASS" for _, status, _, _ in rows) else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused by every later main() call."""
-    parser = argparse.ArgumentParser(
-        prog="flexk3",
-        description="Exact flex-divisor multiples of polarized K3 surfaces, cross-checked five ways.",
-    )
-    parser.add_argument(
-        "--debug",
-        action="store_true",
-        help="re-raise internal failures with their traceback instead of exiting 1",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "csv", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    positive = _int_at_least(1, "must be a positive integer")
-    nonnegative = _int_at_least(0, "must be nonnegative")
+# An option is (flag, dest, rule, default, help): rule None takes no value, a tuple
+# holds the choices and an int is the least integer allowed; default None makes the
+# option required.  "-h/--help" is one option under two names.
+_HELP = ("-h/--help", "help", None, False, "show this help message and exit")
+_TOP = (_HELP, ("--debug", "debug", None, False,
+                "re-raise internal failures with their traceback instead of exiting 1"))
+_FORMAT = ("--format", "format", ("text", "csv", "json"), "text", "output format")
+_D = ("-d", "d", 1, None, "half-degree d >= 1")
+_METHOD = ("--method", "method", ("closed", "factorial", "sum", "monomial", "schubert", "all"),
+           "all", "route to run; all runs the five and cross-checks them")
+# Subcommand -> (help line, handler, options after -h and --format).
+COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple]] = {
+    "nd": ("single flex multiple n_d", cmd_nd, (_D, _METHOD)),
+    "table": ("n_d table over a range of d", cmd_table, (
+        ("--from", "d_from", 1, None, "first d"),
+        ("--to", "d_to", 1, None, "last d, at least the first"))),
+    "yz": ("coefficients of prod (1-q^n)^(-24)", cmd_yz, (
+        ("--max-n", "max_n", 0, None, "last power of q"),)),
+    "crossover": ("flex vs Yau-Zaslow comparison", cmd_crossover, (
+        ("--max-d", "max_d", 1, None, "last d compared"),)),
+    "asym": ("growth-model diagnostics", cmd_asym, (
+        _D, ("--kind", "kind", ("flex", "yz", "both"), "both", "numbers whose growth to model"))),
+    "selftest": ("run the built-in cross-checks", cmd_selftest, ()),
+}
 
-    p_nd = sub.add_parser("nd", parents=[common], help="single flex multiple n_d")
-    p_nd.add_argument("-d", type=positive, required=True, help="half-degree d >= 1")
-    p_nd.add_argument(
-        "--method",
-        choices=("closed", "factorial", "sum", "monomial", "schubert", "all"),
-        default="all",
-        help="which computation to run (default: all, with cross-validation)",
-    )
-    p_nd.set_defaults(func=cmd_nd)
 
-    p_table = sub.add_parser("table", parents=[common], help="n_d table over a range of d")
-    p_table.add_argument("--from", dest="d_from", type=positive, required=True)
-    p_table.add_argument("--to", dest="d_to", type=positive, required=True)
-    p_table.set_defaults(func=cmd_table)
+def _spelled(flag: str, dest: str, rule: object) -> str:
+    if rule is None:
+        return flag
+    return f"{flag} {{{','.join(rule)}}}" if isinstance(rule, tuple) else f"{flag} {dest.upper()}"
 
-    p_yz = sub.add_parser("yz", parents=[common], help="coefficients of prod (1-q^n)^(-24)")
-    p_yz.add_argument("--max-n", dest="max_n", type=nonnegative, required=True)
-    p_yz.set_defaults(func=cmd_yz)
 
-    p_cross = sub.add_parser("crossover", parents=[common], help="flex vs Yau-Zaslow comparison")
-    p_cross.add_argument("--max-d", dest="max_d", type=positive, required=True)
-    p_cross.set_defaults(func=cmd_crossover)
+def _usage(prog: str, options: tuple) -> str:
+    words = [_spelled(flag.split("/")[0], dest, rule) for flag, dest, rule, _, _ in options]
+    words = [word if option[3] is None else f"[{word}]" for word, option in zip(words, options)]
+    tail = [f"{{{','.join(COMMANDS)}}} ..."] if options is _TOP else []
+    return " ".join(["usage:", prog, *words, *tail])
 
-    p_asym = sub.add_parser("asym", parents=[common], help="growth-model diagnostics")
-    p_asym.add_argument("-d", type=positive, required=True)
-    p_asym.add_argument("--kind", choices=("flex", "yz", "both"), default="both")
-    p_asym.set_defaults(func=cmd_asym)
 
-    p_self = sub.add_parser("selftest", parents=[common], help="run the built-in cross-checks")
-    p_self.set_defaults(func=cmd_selftest)
+def _fail(prog: str, options: tuple, message: str) -> NoReturn:
+    sys.stderr.write(f"{_usage(prog, options)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
-    return parser
+
+def _help(prog: str, summary: str, options: tuple) -> NoReturn:
+    rows = [(name, entry[0]) for name, entry in COMMANDS.items()] if options is _TOP else []
+    for flag, dest, rule, default, text in options:
+        tag = " (required)" if default is None else "" if rule is None else f" (default: {default})"
+        rows.append((_spelled(flag.replace("/", ", "), dest, rule), text + tag))
+    width = max(len(left) for left, _ in rows)
+    print(_usage(prog, options), "", summary, "", sep="\n")
+    print(*(f"  {left.ljust(width)}  {right}" for left, right in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _classify(arg: str, flags: dict, fail: Callable[[str], NoReturn]) -> tuple | None:
+    """How one argument reads: None for a positional, ("", None) for an unknown
+    option, else (flag, the value given in the same argument or None)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if arg in flags or eq and name in flags:
+        return (arg, None) if arg in flags else (name, value)
+    if arg[1] == "-":  # a prefix of long flags, perhaps with =value
+        hits, value = [flag for flag in flags if flag.startswith(name)], value if eq else None
+    else:  # -dN
+        hits, value = [flag for flag in flags if flag == arg[:2]], arg[2:]
+    if len(hits) > 1:
+        fail(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else ("", None)
+
+
+def _read(prog: str, summary: str, options: tuple, argv: list, args: dict, extras: list) -> list:
+    """Read argv's options into args, putting the arguments no option takes on
+    extras, and check the required ones.  The top level stops at its first
+    positional, the subcommand, and returns it with the arguments after it."""
+    fail = functools.partial(_fail, prog, options)
+    flags = {name: option for option in options for name in option[0].split("/")}
+    # Every argument is sorted into option or positional before any is read, so an
+    # ambiguous prefix fails ahead of any other error; the top level stops early.
+    kinds = (_classify(arg, flags, fail) for arg in argv)
+    words = zip(argv, kinds if options is _TOP else list(kinds))
+    for i, (arg, kind) in enumerate(words):
+        if kind is None and options is _TOP:  # no top-level option takes a value
+            return argv[i:]
+        if not kind or not kind[0]:
+            extras.append(arg)
+            continue
+        (flag, dest, rule, _, _), value = flags[kind[0]], kind[1]
+        if rule is None:
+            if value is not None:
+                fail(f"argument {flag}: ignored explicit argument {value!r}")
+            if flag == _HELP[0]:
+                _help(prog, summary, options)
+            value = True
+        elif value is None:
+            value, kind = next(words, (None, ""))
+            if kind is not None:
+                fail(f"argument {flag}: expected one argument")
+        if isinstance(rule, tuple) and value not in rule:
+            choices = ", ".join(map(repr, rule))
+            fail(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        if isinstance(rule, int):
+            try:
+                value = int(value)
+            except ValueError:
+                fail(f"argument {flag}: not an integer: {value!r}")
+            if value < rule:
+                need = "must be a positive integer" if rule else "must be nonnegative"
+                fail(f"argument {flag}: {need}, got {value}")
+        args[dest] = value
+    missing = [option[0] for option in options if option[3] is None and args[option[1]] is None]
+    if missing:
+        fail("the following arguments are required: " + ", ".join(missing))
+    return []
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read by COMMANDS: -h and --debug, then a subcommand and its options.
+    A usage error prints the usage line and the error, and exits 2."""
+    args, extras = {"debug": False}, []
+    summary = "Exact flex-divisor multiples of polarized K3 surfaces, cross-checked five ways."
+    rest = _read("flexk3", summary, _TOP, argv, args, extras)
+    if not rest:
+        _fail("flexk3", _TOP, "the following arguments are required: command")
+    if rest[0] not in COMMANDS:
+        message = f"invalid choice: {rest[0]!r} (choose from {', '.join(map(repr, COMMANDS))})"
+        _fail("flexk3", _TOP, f"argument command: {message}")
+    summary, func, own = COMMANDS[rest[0]]
+    options = (_HELP, _FORMAT, *own)
+    args.update({option[1]: option[3] for option in options[1:]}, command=rest[0], func=func)
+    _read(f"flexk3 {rest[0]}", summary, options, rest[1:], args, extras)
+    if extras:
+        _fail("flexk3", _TOP, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -364,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         try:
             return args.func(args)
         except BrokenPipeError:

@@ -260,12 +260,14 @@ def test_output_deterministic(capsys):
 
 
 def test_parser_reused_without_state(capsys):
-    assert cli.build_parser() is cli.build_parser()
+    argv = ("table", "--from", "2", "--to", "5", "--format", "csv")
+    before = cli.parse_args(list(argv))
+    # this parse fails after it has read --format json and --to 3
     with pytest.raises(SystemExit) as exc:
-        cli.main(["table", "--from", "x", "--to", "3"])
+        cli.main(["table", "--format", "json", "--to", "3", "--from", "x"])
     assert exc.value.code == 2
     capsys.readouterr()
-    argv = ("table", "--from", "2", "--to", "5", "--format", "csv")
+    assert cli.parse_args(list(argv)) == before
     first = run_cli(capsys, *argv)
     second = run_cli(capsys, *argv)
     assert first[0] == 0

@@ -2,11 +2,12 @@
 
 Each command's stdout is pinned by the first 16 hex digits of its SHA-256;
 a mismatch prints the full output, so a deliberate schema change can be
-reviewed and re-pinned.  Usage errors pin only the last stderr line,
-because argparse's usage block differs between Python versions.  Text
-selftest is pinned; its csv and json forms carry timings.  The two d = 3578
-cases print an n_d of more than 4300 digits, which CPython refuses to
-convert to a string unless the CLI lifts its limit.
+reviewed and re-pinned.  Usage errors pin only the last stderr line, the
+error itself; the usage line above it restates the options of cli.COMMANDS
+and says nothing about the error.  Text selftest is pinned; its csv and
+json forms carry timings.  The two d = 3578 cases print an n_d of more
+than 4300 digits, which CPython refuses to convert to a string unless the
+CLI lifts its limit.
 """
 
 from __future__ import annotations
