@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import os
-import re
 import sys
 import time
 from math import comb
@@ -360,7 +359,9 @@ def _classify(arg: str, flags: dict, fail: Callable[[str], NoReturn]) -> tuple |
         fail(f"ambiguous option: {arg} could match {', '.join(hits)}")
     if hits:
         return hits[0], value
-    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else ("", None)
+    # argparse's negative number ^-\d+$|^-\d*\.\d+$ (\d is isdecimal, $ passes one "\n")
+    head, dot, tail = arg[1:].removesuffix("\n").partition(".")
+    return None if (head + tail).isdecimal() and (tail or not dot) or " " in arg else ("", None)
 
 
 def _read(prog: str, summary: str, options: tuple, argv: list, args: dict, extras: list) -> list:

@@ -16,9 +16,9 @@ This module computes n_d five ways and cross-validates:
                       formula evaluates to a consistent sign times n_d,
                       so both the raw value and the sign-resolved value
                       are reported.  Its inner sum over j has a closed
-                      form (Chu-Vandermonde), which leaves d terms whose
-                      factors step by term ratios: one binomial, 2d big
-                      products and 3(d-1) small exact divisions
+                      form (Chu-Vandermonde), which leaves d terms that
+                      step by one ratio: one binomial, then per step one
+                      big-by-small product and one small exact division
   4. nd_chern_monomial   intersection theory: expand the total Chern
                       class of the relevant tautological bundle, pair its
                       degree-(2d-1) part against sigma1; the monomial
@@ -111,27 +111,24 @@ def _double_sum_raw(d: int) -> int:
 
         raw(d) = sum_{l=1..d} (-1)^(d-l+1) C(2d+1-l, d-l) C(2d+l, 2l-1) C(l),
 
-    whose l-th term is the printed terms of that l summed over j.  At
-    l = 1 the three factors are C(2d, d-1), 2d+1 and 1; each then steps by
-    its term ratio, one small multiply and one asserted exact division:
+    whose l-th term is the printed terms of that l summed over j.  Its
+    three factors step by the term ratios (d-l)/(2d+1-l),
+    (2d+l+1)(2d-l+1)/(2l (2l+1)) and 2(2l+1)/(l+2).  In their product
+    (2d+1-l) and 2(2l+1) cancel, so the unsigned term steps as one from
+    T(1) = C(2d, d-1) (2d+1), its sign flipping at every step:
 
-        C(2d-l, d-l-1)    = C(2d+1-l, d-l) (d-l) / (2d+1-l)
-        C(2d+l+1, 2l+1)   = C(2d+l, 2l-1) (2d+l+1)(2d-l+1) / (2l (2l+1))
-        C(l+1)            = C(l) 2(2l+1) / (l+2)
+        T(l+1) = T(l) (d-l)(2d+l+1) / (l (l+2)),
 
-    So the route takes one binomial, 2d big products and 3(d-1) small
-    exact divisions: O(d M(d)) bit operations, M(d) the cost of one
-    product of O(d)-bit integers, where the printed double sum costs
-    O(d^2 M(d)).
+    one product of the big term by a small factor and one small asserted
+    exact division: O(d^2) bit operations in all (0.03 s at d = 4000, 0.11 s
+    at d = 8000).  Stepping the three factors apart and multiplying them at
+    every term cost O(d M(d)), M(d) one product of O(d)-bit integers (0.44 s
+    and 2.9 s); the printed double sum costs O(d^2 M(d)).
     """
-    head, tail, cat = comb(2 * d, d - 1), 2 * d + 1, 1  # the factors at l = 1
-    total = -head * tail if d % 2 else head * tail
+    total = term = comb(2 * d, d - 1) * (-2 * d - 1 if d % 2 else 2 * d + 1)  # l = 1
     for ell in range(1, d):
-        head = exact_div(head * (d - ell), 2 * d + 1 - ell)
-        tail = exact_div(tail * ((2 * d + ell + 1) * (2 * d - ell + 1)), 2 * ell * (2 * ell + 1))
-        cat = exact_div(cat * (4 * ell + 2), ell + 2)
-        term = head * tail * cat
-        total = total + term if (d - ell) % 2 == 0 else total - term
+        term = exact_div(term * -((d - ell) * (2 * d + ell + 1)), ell * (ell + 2))
+        total += term
     return total
 
 

@@ -292,7 +292,7 @@ def crossover(max_d: int) -> CrossoverReport:
         raise ValueError(f"max_d must be positive, got {max_d}")
     flex_column = [3]
     for d in range(1, max_d):
-        flex_column.append(exact_div(flex_column[-1] * 4 * (2 * d + 1) * (2 * d + 3), (d + 2) ** 2))
+        flex_column.append(exact_div(flex_column[-1] * ((8 * d + 4) * (2 * d + 3)), (d + 2) ** 2))
     if flex_column[-1] != nd_closed(max_d):
         raise ArithmeticError(f"stepped n_{max_d} differs from nd_closed({max_d})")
     series = euler_power_neg24(max_d + 1)

@@ -62,12 +62,11 @@ def _sigma1_step(x: list[int], k: int, d: int) -> list[int]:
     to the first row while k - b < d (clipped at the box) and to the second
     row while b < k - b.
     """
-    half = (k + 1) // 2
-    lo = max(0, k + 1 - d)
-    y = [0] * (half + 1)
-    y[lo : len(x)] = x[lo:]
-    # b - 1 -> b for b = 1..half; for even k the last entry of x is the
-    # square s_(k/2, k/2), whose second row cannot grow, so x[:half] stops
-    # short of it.  Both sides have exactly half entries.
-    y[1:] = map(add, y[1:], x[:half])
-    return y
+    # y[b] = x[b] (first row, while k - b < d) + x[b - 1] (second row).  up
+    # holds the first-row terms of b >= 1, and a 0 for the square s_(m, m) that
+    # an odd k = 2m - 1 gains; map stops at b = (k + 1) // 2, so for even k the
+    # square x[k // 2] gets no second-row box.
+    up = x[1:] if k < d else [0] * (k - d) + x[k + 1 - d :]
+    if k & 1:
+        up.append(0)
+    return [x[0] if k < d else 0, *map(add, up, x)]

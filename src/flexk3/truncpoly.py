@@ -40,5 +40,5 @@ def chern_total(d: int) -> tuple[int, ...]:
     coefs = [-comb(3 * d, 2 * d - 1)]
     for n in range(d - 1):
         a, b = 3 * d - n, 2 * d - 1 - 2 * n
-        coefs.append(exact_div(-coefs[-1] * (n + d + 2) * b * (b - 1), (n + 1) * a * (a - b + 1)))
+        coefs.append(exact_div(coefs[-1] * -((n + d + 2) * b * (b - 1)), (n + 1) * a * (a - b + 1)))
     return tuple(coefs)

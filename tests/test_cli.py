@@ -7,6 +7,8 @@ import csv
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -251,6 +253,22 @@ def test_print_csv_matches_csv_writer(table):
 
 def test_csv_quotes_a_carriage_return():
     assert cli._csv_field("a\rb") == '"a\rb"'
+
+
+# argparse's negative-number test, which _classify matched with re before it used str methods
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+FIXED_DASH_ARGS = [
+    "-0", "-1", "-12", "-1\n", "-1\n\n", "-\n", "-.5", "-.5\n", "-1.5", "-1.", "-.", "-1.5.",
+    "-1..5", "-.5.5", "--1", "-+1", "-1e5", "-1 ", "- 1", "-1\n ", "-٣", "-.٣", "-²", "-1²", "-a",
+]
+
+
+def test_classify_negative_number_matches_old_pattern():
+    rng = random.Random(2021)
+    generated = ["-" + "".join(rng.choices("-0123.\n a٣²e+", k=rng.randint(1, 8))) for _ in range(20000)]
+    for arg in FIXED_DASH_ARGS + generated:
+        positional = bool(NEGATIVE_NUMBER.match(arg)) or " " in arg
+        assert cli._classify(arg, {}, pytest.fail) == (None if positional else ("", None)), repr(arg)
 
 
 def test_output_deterministic(capsys):
