@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NoReturn
 
 from . import flexdeg, qseries
 from .flexdeg import FlexReport
-from .schubert import _sigma1_step, monomial_integral
+from .schubert import _sigma1_column, _sigma1_step, monomial_integral
 
 # The paper's claimed first flex-dominant d, as an inclusive range.
 CLAIMED_SWITCH = (8, 9)
@@ -212,15 +212,12 @@ def _check_pieri_integral() -> None:
             ]
             if x != want:
                 raise AssertionError(f"d={d}: sigma1^{k} is {x}, expected {want}")
+        walked = _sigma1_column(d)  # route 5's integrals of sigma1^(2j) sigma2^(d-j)
         for n in range(d + 1):
             m = 2 * d - 2 * n
-            x = [0] * n + [1]  # sigma2^n = s_(n,n) in degree 2n
-            for k in range(2 * n, 2 * d):
-                x = _sigma1_step(x, k, d)
-            got = x[d]
             want = monomial_integral(m, n, d)
-            if got != want:
-                raise AssertionError(f"d={d} m={m} n={n}: pieri {got} != formula {want}")
+            if walked[d - n] != want:
+                raise AssertionError(f"d={d} m={m} n={n}: pieri {walked[d - n]} != formula {want}")
 
 
 def _check_qseries_product() -> None:

@@ -23,17 +23,14 @@ This module computes n_d five ways and cross-validates:
                       class of the relevant tautological bundle, pair its
                       degree-(2d-1) part against sigma1; the monomial
                       integrals C(d-n) step down from one closed form
-  5. nd_chern_schubert   the same pairing evaluated by a Horner sweep in
-                      the Schubert basis, no closed-form integrals
+  5. nd_chern_schubert   the same pairing, its integrals read off one kept
+                      sigma1 Pieri walk, no closed form (see its docstring)
 
 Routes 4 and 5 share the degree-(2d-1) Chern part, chern_total's d
 coefficients (one binomial, then d-1 ratio steps), but integrate
 independently: route 4 against a Catalan column (one closed-form
-integral, then d ratio steps), route 5 by a Horner sweep of 2d sigma1 steps
-(schubert._sigma1_step, the package's one Pieri engine) on one graded
-piece kept as a plain list: O(d) Python-level operations, with the
-O(d^2) coefficient additions done at C level (one Pieri walk per
-monomial would cost O(d^3) term updates).
+integral, then d ratio steps), route 5 off one kept schubert._sigma1_step
+walk from s_(0,0), 2D steps over d = 1..D (nd_chern_schubert says why).
 The sign of the double sum is not trusted a priori: it is calibrated once
 against the closed form on d = 1..5 and must be consistent across that
 range, otherwise an ArithmeticError flags the build as broken.
@@ -43,10 +40,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
 from .exact import catalan, exact_div
-from .schubert import _sigma1_step, monomial_integral
+from .schubert import _sigma1_column, monomial_integral
 from .truncpoly import chern_total
 
 
@@ -181,31 +179,18 @@ def nd_chern_monomial(d: int) -> int:
     return -total
 
 
-def _sigma1_square_horner(d: int, coefs: tuple[int, ...]) -> int:
-    """Integral of sum_n coefs[n] * sigma1^(2d-2n) * sigma2^n, n = 0..d-1.
-
-    Horner in sigma1^2 over the Schubert basis: acc <- sigma1^2 * acc +
-    coefs[n] * s_(n,n), where s_(n,n) = sigma2^n, then one more sigma1^2
-    and the top-class coefficient.  acc is always a single graded piece,
-    so it is a plain list (see schubert._sigma1_step): 2d list steps, O(d)
-    Python-level operations, the O(d^2) element additions done at C level.
-    """
-    acc = [coefs[0]]
-    for n in range(1, d):
-        acc = _sigma1_step(_sigma1_step(acc, 2 * n - 2, d), 2 * n - 1, d)
-        acc[n] += coefs[n]
-    return _sigma1_step(_sigma1_step(acc, 2 * d - 2, d), 2 * d - 1, d)[d]
-
-
 def nd_chern_schubert(d: int) -> int:
     """Same pairing as nd_chern_monomial, integrated in the Schubert basis.
 
-    sigma1 * c_(2d-1) = sum_n c_n * sigma1^(2d-2n) * sigma2^n, with c_n the
-    coefficient of s1^(2d-1-2n) * s2^n, is pushed through the Pieri
-    operators in one Horner sweep and read off at the top class.
+    The integral of sigma1^(2j) sigma2^(d-j) over the box-d Grassmannian is
+    the coefficient of s_(j,j) in sigma1^(2j): a Pieri path from
+    sigma2^(d-j) = s_(d-j,d-j) to s_(d,d) never leaves the box (its first row
+    only grows, to d) and is one from s_(0,0) to s_(j,j) moved d-j columns.
+    One walk kept by the process gives them: 2d sigma1 steps cold, and 2D,
+    O(D^2) additions, over d = 1..D, where a sweep per d made O(D^3).
     """
     _require_positive(d)
-    return -_sigma1_square_horner(d, chern_total(d))
+    return -sum(map(mul, chern_total(d), _sigma1_column(d)[d:0:-1]))
 
 
 def flex_report(d: int) -> FlexReport:

@@ -25,8 +25,8 @@ A class of degree k is one graded piece, kept as a plain list x of
 length k//2 + 1: x[b] is the coefficient of s_(k-b, b), and x[b] is 0
 where k - b > d.  So sigma2^n = s_(n,n) is [0] * n + [1] in degree 2n,
 and after degree 2d the integral is x[d].  _sigma1_step applies the
-sigma1 Pieri rule to one such piece; iterating it gives an independent
-route to the monomial integrals.
+sigma1 Pieri rule to one such piece; _sigma1_column walks it from s_(0,0),
+an independent route to the monomial integrals.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def monomial_integral(m: int, n: int, d: int) -> int:
     return exact_div(factorial(m), factorial(h) * factorial(h + 1))
 
 
-# Private: bench/tracer.py spans public functions, 2d spans per nd_chern_schubert call.
+# Private: bench/tracer.py spans public functions, and d = 1..D walk 2D steps.
 def _sigma1_step(x: list[int], k: int, d: int) -> list[int]:
     """sigma1 * sum_b x[b] * s_(k-b, b), returned the same way in degree k + 1.
 
@@ -70,3 +70,21 @@ def _sigma1_step(x: list[int], k: int, d: int) -> list[int]:
     if k & 1:
         up.append(0)
     return [x[0] if k < d else 0, *map(add, up, x)]
+
+
+_walk: tuple[list[int], tuple[int, ...]] = ([1], (1,))  # last piece (degree 2J), column[: J + 1]
+
+
+def _sigma1_column(D: int) -> tuple[int, ...]:
+    """Coefficients of s_(j,j) in sigma1^(2j), j = 0..D, off the process's walk from
+    s_(0,0).  A longer request extends its last piece two steps per j (box 2j never
+    clips) and replaces it in one assignment, so an interrupt leaves it valid."""
+    global _walk
+    piece, column = _walk
+    if D >= len(column):
+        column = list(column)
+        for j in range(len(column), D + 1):
+            piece = _sigma1_step(_sigma1_step(piece, 2 * j - 2, 2 * j), 2 * j - 1, 2 * j)
+            column.append(piece[-1])
+        _walk = piece, tuple(column)
+    return _walk[1][: D + 1]

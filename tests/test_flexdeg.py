@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from schubert_reference import mul_sigma2, pieri_sigma1
 
-from flexk3 import cli, flexdeg
+from flexk3 import cli, flexdeg, schubert
 from flexk3.exact import catalan, exact_div
 from flexk3.flexdeg import (
     _double_sum_raw,
-    _sigma1_square_horner,
     FlexReport,
     cross_check,
     flex_report,
@@ -27,7 +26,7 @@ from flexk3.flexdeg import (
     nd_double_sum,
     nd_factorial,
 )
-from flexk3.schubert import _sigma1_step, monomial_integral
+from flexk3.schubert import _sigma1_column, _sigma1_step, monomial_integral
 
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
 
@@ -240,14 +239,60 @@ def pieri_walk(d: int, n: int) -> int:
     return terms.get((d, d), 0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12).flatmap(
-    lambda d: st.lists(st.integers(-10**30, 10**30), min_size=d, max_size=d)
-))
-def test_horner_sweep_matches_pieri_walks(coefs):
-    d = len(coefs)
-    expected = sum(c * pieri_walk(d, n) for n, c in enumerate(coefs))
-    assert _sigma1_square_horner(d, coefs) == expected
+@pytest.fixture
+def empty_walk(monkeypatch):
+    """Start from a fresh sigma1 walk, s_(0,0) alone, whatever ran before."""
+    monkeypatch.setattr(schubert, "_walk", ([1], (1,)))
+
+
+def test_sigma1_column_matches_pieri_walks(empty_walk):
+    # nd_chern_schubert pairs linearly against the column, so matching every
+    # boxed monomial integral covers any Chern coefficients.
+    for d in range(1, 13):
+        column = _sigma1_column(d)
+        assert len(column) == d + 1
+        for n in range(d):
+            assert column[d - n] == pieri_walk(d, n), (d, n)
+
+
+def test_chern_schubert_in_any_order(empty_walk):
+    ds = list(range(1, 41))
+    random.Random(22).shuffle(ds)
+    assert [nd_chern_schubert(d) for d in ds] == [nd_closed(d) for d in ds]
+
+
+def test_rising_run_walks_two_steps_per_d(empty_walk, monkeypatch):
+    calls = []
+
+    def counting_step(x, k, d):
+        calls.append(k)
+        return _sigma1_step(x, k, d)
+
+    monkeypatch.setattr(schubert, "_sigma1_step", counting_step)
+    D = 30
+    expected = [nd_closed(d) for d in range(1, D + 1)]
+    assert [nd_chern_schubert(d) for d in range(1, D + 1)] == expected
+    assert calls == list(range(2 * D))
+    calls.clear()
+    assert [nd_chern_schubert(d) for d in range(1, D + 1)] == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 20])
+def test_interrupted_walk_leaves_later_results_correct(empty_walk, monkeypatch, m):
+    calls = []
+
+    def failing_step(x, k, d):
+        calls.append(k)
+        if len(calls) == m:
+            raise KeyboardInterrupt
+        return _sigma1_step(x, k, d)
+
+    monkeypatch.setattr(schubert, "_sigma1_step", failing_step)
+    with pytest.raises(KeyboardInterrupt):
+        nd_chern_schubert(12)
+    later = (12, 3, 15, 1)
+    assert [nd_chern_schubert(d) for d in later] == [nd_closed(d) for d in later]
 
 
 def test_sigma1_step_matches_pieri_exhaustively():
