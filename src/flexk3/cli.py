@@ -56,6 +56,8 @@ def _print_text_table(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
 def _csv_field(value: object) -> str:
     """_cell(value), quoted by RFC 4180 as csv.writer does, except that
     3.10-3.12's csv.writer leaves a lone '\\r' unquoted (no CLI cell holds one)."""
+    if type(value) is int:  # never quoted; a bool is not one, _cell spells it true or false
+        return str(value)
     text = _cell(value)
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
@@ -128,8 +130,7 @@ def cmd_table(args: SimpleNamespace) -> int:
 def cmd_yz(args: SimpleNamespace) -> int:
     values = qseries.euler_power_neg24(max(1, args.max_n))[: args.max_n + 1]
     if args.format == "text":
-        for value in values:
-            print(value)
+        sys.stdout.writelines(map("{}\n".format, values))
     else:
         _render_rows(("n", "a"), enumerate(values), args.format)
     return 0

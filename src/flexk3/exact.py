@@ -28,10 +28,13 @@ def exact_div(a: int, b: int) -> int:
     """Integer quotient a // b, raising ArithmeticError unless b divides a.
 
     Used wherever a formula is an integer for structural reasons; an inexact
-    division here means an arithmetic bug, not bad input.
+    division here means an arithmetic bug, not bad input.  The message names
+    an operand past 1000 bits by its bit length: its decimal form costs
+    quadratic time and, past 4300 digits, raises ValueError by default.
     """
     q, r = divmod(a, b)
     if r:
+        b, a = (x if x.bit_length() <= 1000 else f"a {x.bit_length()}-bit integer" for x in (b, a))
         raise ArithmeticError(f"expected {b} to divide {a} exactly")
     return q
 

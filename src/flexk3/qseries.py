@@ -16,10 +16,11 @@ q^(n-1) is the forward recurrence
 
     n a(n) = -sum_{k >= 1, t_k <= n} c_k (n + 7 t_k) a(n - t_k),
 
-per coefficient three C-level passes (step the weights c_k (n + 7 t_k) by
-c_k, gather the a(n - t_k) with one itemgetter, sum their products) and
-one asserted exact division by n: about 0.94 N^(3/2) small-times-bigint
-multiply-adds to q^N, 84 thousand at N = 2000.  The recurrence reads only
+per coefficient three C-level passes over the K(n) terms in reach (step
+their weights c_k (n + 7 t_k) by c_k, gather the a(n - t_k) with one
+itemgetter, sum their products) and one asserted exact division by n:
+to q^N, sum_n K(n) ~ 0.94 N^(3/2) weight additions and as many bigint
+multiply-adds (82 thousand at N = 2000).  The recurrence reads only
 earlier coefficients, so the process keeps the longest series built so far
 and a longer request extends it, never rebuilds it; a shorter one is a
 slice of it.  An extension grows it by at least a quarter, so a rising run
@@ -29,10 +30,10 @@ new top index by the logarithmic-derivative identity
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
 
 and raises ArithmeticError if it fails.  An independent oracle builds
-prod (1 - q^n) factor by factor, takes its 24th power as five products of
-packed integers (Kronecker substitution), checks Ramanujan's congruence
-tau(m) = sigma_11(m) (mod 691) on the result and inverts it, using no
-series identity.
+prod (1 - q^n) from the top factor down, takes its 24th power as five
+products of packed integers (Kronecker substitution), checks Ramanujan's
+congruence tau(m) = sigma_11(m) (mod 691) on the result and inverts it,
+using no series identity.
 
 This module also compares the flex multiples n_d against the Yau-Zaslow
 multiples (crossover) and checks both against their growth models
@@ -46,7 +47,6 @@ too many digits for float conversion.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 import math
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
@@ -129,12 +129,12 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
     A request up to the longest series built so far in this process is a
     slice of it.  A longer one extends it to top = max(N, 5L // 4), L its
     length, by the power recurrence n a(n) = -sum_k c_k (n + 7 t_k)
-    a(n - t_k) over Jacobi's terms (t_k, c_k) with t_k <= n, one asserted
-    exact division by n per new coefficient, is certified at q^top by the
-    divisor-sum identity (a sieve and a top-term dot product), and
-    replaces it.  The trade: a request just past the series builds up to
-    a quarter more than it asks for, at most about 40% of a full build,
-    and a rising run of requests extends O(log N) times.
+    a(n - t_k) over Jacobi's terms (t_k, c_k), each weighted from n = t_k
+    on, one asserted exact division by n per new coefficient, is certified
+    at q^top by the divisor-sum identity (a sieve and a top-term dot
+    product), and replaces it.  The trade: a request just past the series
+    builds up to a quarter more than it asks for, at most about 40% of a
+    full build, and a rising run of requests extends O(log N) times.
     """
     global _longest
     if N < 1:
@@ -143,14 +143,17 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
         top = max(N, len(_longest) * 5 // 4)
         a = list(_longest) or [1]
         terms = _jacobi_cube_terms(top)
-        ts, cs = zip(*terms)
-        weights = [c * (len(a) - 1 + 7 * t) for t, c in terms]  # c_k (n + 7 t_k), n = len(a) - 1
+        ts, cs = zip(*terms, (top + 1, 0))  # and a last term, never in reach
+        # c_k (n + 7 t_k), n = len(a) - 1, for the terms in reach (t_k <= n)
+        weights = [c * (len(a) - 1 + 7 * t) for t, c in terms if t < len(a)]
         # reads[k - 1](a) is (a(n - t_1), ..., a(n - t_k)) while len(a) == n
-        reads = [itemgetter(*[-t for t in ts[:k]]) for k in range(1, len(ts) + 1)]
+        reads = [itemgetter(*[-t for t in ts[:k]]) for k in range(1, len(ts))]
         reads[0] = lambda seq: (seq[-1],)  # itemgetter(-1) returns a scalar
         for n in range(len(a), top + 1):
+            if n == ts[len(weights)]:  # term k comes in at n = t_k, weighted c_k (n - 1 + 7 t_k)
+                weights.append(cs[len(weights)] * (8 * n - 1))
             weights = list(map(add, weights, cs))
-            a.append(-exact_div(sum(map(mul, weights, reads[bisect_right(ts, n) - 1](a))), n))
+            a.append(-exact_div(sum(map(mul, weights, reads[len(weights) - 1](a))), n))
         _certify(a)
         _longest = tuple(a)
     return _longest[: N + 1]
@@ -159,12 +162,12 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
 def _euler_power_24(N: int) -> list[int]:
     """prod_{n <= N} (1 - q^n)^24 truncated at q^N, by Kronecker substitution.
 
-    E = prod_{n <= N} (1 - q^n) is built factor by factor, one C-level
-    subtraction pass per factor.  The map q -> 2^w from Z[q]/(q^(N+1)) to
-    Z/2^((N+1)w) is a ring homomorphism, so E^24 is five products of packed
-    integers, x^2, x^4, x^8, x^16 and x^16 x^8, each reduced mod
-    2^((N+1)w).  A slot that overflows in between does no harm: only the
-    final coefficients c_k need |c_k| < 2^(w-1), and then a bias of
+    E = prod_{n <= N} (1 - q^n) is built from n = N down, one C-level
+    subtraction pass of (N - 2n)^+ terms per factor n.  The map q -> 2^w
+    from Z[q]/(q^(N+1)) to Z/2^((N+1)w) is a ring homomorphism, so E^24 is
+    five products of packed integers, x^2, x^4, x^8, x^16 and x^16 x^8, each
+    reduced mod 2^((N+1)w).  A slot that overflows in between does no harm:
+    only the final coefficients c_k need |c_k| < 2^(w-1), and then a bias of
     2^(w-1) in every slot reads each one back without carries.  With
     D = 1 - E and L the sum of the absolute values of D's coefficients,
     E^24 = sum_j C(24, j) (-D)^j and D^j starts at q^j, so
@@ -175,9 +178,9 @@ def _euler_power_24(N: int) -> list[int]:
     least multiple of 8 that exceeds its bit length.  E's own
     coefficients, at most L in size, go into the same biased slots.
     """
-    e = [1] + [0] * N
-    for n in range(1, N + 1):
-        e[n:] = map(sub, e[n:], e[: N + 1 - n])
+    e = [1] + [-1] * N  # factor n puts -1 at q^n, where the factors above n have no term
+    for n in range((N - 1) // 2, 0, -1):  # factors > n are in: q^(n+1)..q^(2n+2) hold -1
+        e[2 * n + 1 :] = map(sub, e[2 * n + 1 :], e[n + 1 : N + 1 - n])
     ell = sum(map(abs, e)) - 1
     bound = sum(binomial(24, j) * ell**j for j in range(min(24, N) + 1))
     width = bound.bit_length() // 8 + 1  # bytes per slot
@@ -210,13 +213,14 @@ def _check_ramanujan_691(tau: list[int]) -> None:
 def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
     """Same coefficients by expanding the product and inverting it.
 
-    prod_{n <= N} (1 - q^n) is built factor by factor, N^2 / 2
-    subtractions of small integers, and raised to the 24th power by
-    Kronecker substitution: five products of (N+1) w-bit integers, with
-    w <= 160 for N <= 2000.  The result, sum_n tau(n+1) q^n, must pass
-    Ramanujan's congruence mod 691, else ArithmeticError.  It is then
-    inverted term by term, N^2 / 2 bigint products.  No series identity
-    is used, so this stays independent of euler_power_neg24.
+    prod_{n <= N} (1 - q^n) is built from n = N down, where factor n meets
+    only terms past q^n: sum_n (N - 2n)^+ ~ N^2 / 4 small subtractions.
+    Kronecker substitution raises it to the 24th power: five products of
+    (N+1) w-bit integers, w <= 160 for N <= 2000.  The result, sum_n
+    tau(n+1) q^n, must pass Ramanujan's congruence mod 691, else
+    ArithmeticError.  It is then inverted term by term, N^2 / 2 bigint
+    products.  No series identity is used, so this stays independent of
+    euler_power_neg24.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")

@@ -78,7 +78,9 @@ _walk: tuple[list[int], tuple[int, ...]] = ([1], (1,))  # last piece (degree 2J)
 def _sigma1_column(D: int) -> tuple[int, ...]:
     """Coefficients of s_(j,j) in sigma1^(2j), j = 0..D, off the process's walk from
     s_(0,0).  A longer request extends its last piece two steps per j (box 2j never
-    clips) and replaces it in one assignment, so an interrupt leaves it valid."""
+    clips) and replaces it in one assignment, so an interrupt leaves it valid.  The
+    walk is never released: its piece and column, 2D + 2 integers of up to 2D bits,
+    hold 1.45 MB under tracemalloc at D = 2000 and 5.5 MB at D = 4000."""
     global _walk
     piece, column = _walk
     if D >= len(column):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from math import comb
+import sys
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -43,6 +44,22 @@ def test_exact_div():
     assert exact_div(12870, 9) == 1430
     with pytest.raises(ArithmeticError):
         exact_div(7, 2)
+
+
+def test_exact_div_names_huge_operands_by_bit_length():
+    # Runs under CPython's default limit of 4300 digits per int-to-str
+    # conversion, where an operand printed in decimal would raise ValueError.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ArithmeticError, match="^expected a 38117-bit integer to divide a 42100"):
+            exact_div(factorial(4000) + 1, 2001 * factorial(2000) ** 2)
+        with pytest.raises(ArithmeticError, match=f"^expected 3 to divide {2**1000 - 2} exactly$"):
+            exact_div(2**1000 - 2, 3)
+        with pytest.raises(ArithmeticError, match="^expected 3 to divide a 1001-bit integer exactly$"):
+            exact_div(2**1000 + 1, 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(

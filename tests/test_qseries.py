@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from operator import add, mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -237,6 +237,36 @@ def test_extension_divides_once_per_new_coefficient(monkeypatch):
     # one past the cached q^400 extends by a quarter of its 401 terms
     assert euler_power_neg24(401) == reference_600()[:402]
     assert divisors == list(range(401, 502))
+
+
+def test_build_steps_only_the_weights_in_reach(monkeypatch):
+    # One weight addition per Jacobi term with t_k <= n at each n: a weight
+    # for every term up to the top index at every n would make 300 * 24.
+    additions = []
+
+    def counting_add(x, y):
+        additions.append(None)
+        return add(x, y)
+
+    monkeypatch.setattr(qseries, "_longest", ())
+    monkeypatch.setattr(qseries, "add", counting_add)
+    assert euler_power_neg24(300) == reference_600()[:301]
+    in_reach = sum(len(qseries._jacobi_cube_terms(n)) for n in range(1, 301))
+    assert len(additions) == in_reach == 4624
+
+
+def test_product_oracle_expands_from_the_top_factor_down(monkeypatch):
+    # Factor n meets only the factors above it, whose terms start at q^(n+1),
+    # so it subtracts N - 2n terms, and none once 2n >= N: a quarter of N^2.
+    subtractions = []
+
+    def counting_sub(x, y):
+        subtractions.append(None)
+        return sub(x, y)
+
+    monkeypatch.setattr(qseries, "sub", counting_sub)
+    assert euler_power_neg24_by_product(60) == reference_600()[:61]
+    assert len(subtractions) == sum(60 - 2 * n for n in range(1, 30)) == 870
 
 
 def test_certificate_catches_a_wrong_jacobi_sign(monkeypatch):
