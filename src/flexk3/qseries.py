@@ -30,10 +30,10 @@ new top index by the logarithmic-derivative identity
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
 
 and raises ArithmeticError if it fails.  An independent oracle builds
-prod (1 - q^n) from the top factor down, takes its 24th power as five
-products of packed integers (Kronecker substitution), checks Ramanujan's
-congruence tau(m) = sigma_11(m) (mod 691) on the result and inverts it,
-using no series identity.
+E = prod (1 - q^n) from the top factor down, checks Ramanujan's congruence
+tau(m) = sigma_11(m) (mod 691) on E^24 (five products of packed integers),
+and takes E^(-24) from E's own nonzero terms by the same power rule, tied
+to E^24 at q^N: O(N^(3/2)) products, no series identity.
 
 This module also compares the flex multiples n_d against the Yau-Zaslow
 multiples (crossover) and checks both against their growth models
@@ -159,11 +159,18 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
     return _longest[: N + 1]
 
 
-def _euler_power_24(N: int) -> list[int]:
-    """prod_{n <= N} (1 - q^n)^24 truncated at q^N, by Kronecker substitution.
+def _euler_product(N: int) -> list[int]:
+    """prod_{n <= N} (1 - q^n) truncated at q^N, from the factor n = N down."""
+    e = [1] + [-1] * N  # factor n puts -1 at q^n, where the factors above n have no term
+    for n in range((N - 1) // 2, 0, -1):  # factors > n are in: q^(n+1)..q^(2n+2) hold -1
+        e[2 * n + 1 :] = map(sub, e[2 * n + 1 :], e[n + 1 : N + 1 - n])
+    return e
 
-    E = prod_{n <= N} (1 - q^n) is built from n = N down, one C-level
-    subtraction pass of (N - 2n)^+ terms per factor n.  The map q -> 2^w
+
+def _euler_power_24(e: list[int]) -> list[int]:
+    """E^24 truncated at q^N, N = len(e) - 1, by Kronecker substitution.
+
+    E = sum_k e[k] q^k, here prod_{n <= N} (1 - q^n).  The map q -> 2^w
     from Z[q]/(q^(N+1)) to Z/2^((N+1)w) is a ring homomorphism, so E^24 is
     five products of packed integers, x^2, x^4, x^8, x^16 and x^16 x^8, each
     reduced mod 2^((N+1)w).  A slot that overflows in between does no harm:
@@ -178,16 +185,13 @@ def _euler_power_24(N: int) -> list[int]:
     least multiple of 8 that exceeds its bit length.  E's own
     coefficients, at most L in size, go into the same biased slots.
     """
-    e = [1] + [-1] * N  # factor n puts -1 at q^n, where the factors above n have no term
-    for n in range((N - 1) // 2, 0, -1):  # factors > n are in: q^(n+1)..q^(2n+2) hold -1
-        e[2 * n + 1 :] = map(sub, e[2 * n + 1 :], e[n + 1 : N + 1 - n])
     ell = sum(map(abs, e)) - 1
-    bound = sum(binomial(24, j) * ell**j for j in range(min(24, N) + 1))
+    bound = sum(binomial(24, j) * ell**j for j in range(min(25, len(e))))
     width = bound.bit_length() // 8 + 1  # bytes per slot
     half = 1 << (8 * width - 1)
-    size = (N + 1) * width
+    size = len(e) * width
     mask = (1 << 8 * size) - 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * (N + 1), "little")
+    bias = int.from_bytes(half.to_bytes(width, "little") * len(e), "little")
     packed = b"".join((c + half).to_bytes(width, "little") for c in e)
     x = (int.from_bytes(packed, "little") - bias) & mask  # E
     for _ in range(3):
@@ -211,25 +215,36 @@ def _check_ramanujan_691(tau: list[int]) -> None:
 
 
 def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
-    """Same coefficients by expanding the product and inverting it.
+    """Same coefficients from the expanded product E = prod_{n <= N} (1 - q^n).
 
-    prod_{n <= N} (1 - q^n) is built from n = N down, where factor n meets
-    only terms past q^n: sum_n (N - 2n)^+ ~ N^2 / 4 small subtractions.
-    Kronecker substitution raises it to the 24th power: five products of
-    (N+1) w-bit integers, w <= 160 for N <= 2000.  The result, sum_n
-    tau(n+1) q^n, must pass Ramanujan's congruence mod 691, else
-    ArithmeticError.  It is then inverted term by term, N^2 / 2 bigint
-    products.  No series identity is used, so this stays independent of
-    euler_power_neg24.
+    E comes from _euler_product (N^2 / 4 small subtractions) and E^24, sum_n
+    tau(n+1) q^n, from _euler_power_24; it must pass Ramanujan's congruence
+    mod 691.  E P' = -24 E' P (Miller's power rule) gives P = E^(-24) from
+    E's own nonzero terms e_k (32 to q^400),
+
+        n a(n) = -sum_{k >= 1, e_k != 0} e_k (n + 23 k) a(n - k),
+
+    one asserted exact division by n and a product per e_k in reach, 8,344
+    to q^400 (inverting E^24 took N^2 / 2); then sum_k tau(k+1) a(N-k) must
+    be 0.  Each failed check raises ArithmeticError; no series identity is used.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    power = _euler_power_24(N)  # tau(n + 1) at index n
+    e = _euler_product(N)
+    power = _euler_power_24(e)  # tau(n + 1) at index n
     _check_ramanujan_691(power)
-    tail, backward = power[1:], [1]  # backward holds a(n - 1), ..., a(0)
-    for _ in range(N):
-        backward.insert(0, -sum(map(mul, tail, backward)))
-    return tuple(reversed(backward))
+    ks, cs = zip(*[(k, c) for k, c in enumerate(e) if c][1:], (N + 1, 0))  # and one never in reach
+    reads = [itemgetter(*[-k for k in ks[:j]]) for j in range(1, len(ks))]  # a(n - k_1..k_j)
+    reads[0] = lambda seq: (seq[-1],)  # itemgetter(-1) returns a scalar
+    a, weights = [1], []  # e_k (n + 23 k) for the terms in reach, k <= n
+    for n in range(1, N + 1):
+        if n == ks[len(weights)]:  # term k comes in at n = k, weighted e_k (n - 1 + 23 k)
+            weights.append(cs[len(weights)] * (24 * n - 1))
+        weights = list(map(add, weights, cs))
+        a.append(-exact_div(sum(map(mul, weights, reads[len(weights) - 1](a))), n))
+    if sum(map(mul, power, reversed(a))):
+        raise ArithmeticError(f"product oracle fails E^24 E^-24 = 1 at q^{N}")
+    return tuple(a)
 
 
 def yz_multiple(d: int) -> int:

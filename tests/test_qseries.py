@@ -107,6 +107,7 @@ def test_euler_series_positive_and_increasing():
 def test_recurrence_matches_product_oracle():
     assert euler_power_neg24(400) == euler_power_neg24_by_product(400)
     assert euler_power_neg24(1000) == euler_power_neg24_by_product(1000)
+    assert euler_power_neg24(2000) == euler_power_neg24_by_product(2000)
 
 
 def test_product_oracle_matches_factor_expansion():
@@ -137,6 +138,59 @@ def test_product_oracle_checks_ramanujan_congruence(monkeypatch):
     monkeypatch.setattr(qseries, "_euler_power_24", one_tau_off)
     with pytest.raises(ArithmeticError, match=r"tau\(7\)"):
         euler_power_neg24_by_product(20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=200))
+def test_product_oracle_ties_its_series_to_the_power(data, N):
+    # A multiple of 691 added to one tau keeps Ramanujan's congruence, so only
+    # sum_k tau(k+1) a(N-k) = 0 at the top index can see it.
+    at = data.draw(st.integers(min_value=0, max_value=N), label="index")
+    delta = 691 * data.draw(st.integers(min_value=-(10**30), max_value=10**30).filter(bool))
+    power = qseries._euler_power_24
+
+    def one_tau_moved(e):
+        tau = power(e)
+        tau[at] += delta
+        return tau
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_euler_power_24", one_tau_moved)
+        with pytest.raises(ArithmeticError, match=rf"at q\^{N}$"):
+            euler_power_neg24_by_product(N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=200))
+def test_product_oracle_fails_on_a_wrong_expansion_sign(data, N):
+    # The recurrence reads its terms e_k off the expanded list, so a flipped
+    # e_k gives the series of a wrong product, which some check must refuse.
+    expand = qseries._euler_product
+    at = data.draw(st.sampled_from([k for k, c in enumerate(expand(N)) if c][1:]), label="k")
+
+    def one_sign_flipped(M):
+        e = expand(M)
+        e[at] = -e[at]
+        return e
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_euler_product", one_sign_flipped)
+        with pytest.raises(ArithmeticError):
+            euler_power_neg24_by_product(N)
+
+
+def test_product_oracle_divides_once_per_coefficient(monkeypatch):
+    # The power rule gives n a(n), so each a(n) of E^(-24) takes one asserted
+    # division by n, and nothing else in the oracle divides.
+    divisors = []
+
+    def recording_div(a, b):
+        divisors.append(b)
+        return exact_div(a, b)
+
+    monkeypatch.setattr(qseries, "exact_div", recording_div)
+    assert euler_power_neg24_by_product(400) == reference_600()[:401]
+    assert divisors == list(range(1, 401))
 
 
 def test_rising_requests_sieve_divisor_sums_log_times(monkeypatch):
