@@ -14,7 +14,7 @@ reader closing stdout early (as `| head` does) ends the command with exit
 code 1 and no message.  selftest runs the registry SELFTEST_CHECKS, whose
 docstrings state each criterion; in csv and json it prints one row per
 check (name, status, seconds, detail).  The acceptance suite runs the same
-registry.  Rows are tuples, the package's NamedTuple records or plain
+registry.  Rows are tuples, the package's namedtuple records or plain
 tuples, rendered against a header that for a record is its _fields.
 Integers print in full decimal, in json as decimal strings; only the
 json output imports json.
@@ -26,9 +26,9 @@ import functools
 import os
 import sys
 import time
+from collections.abc import Callable, Iterable
 from math import comb
 from types import SimpleNamespace
-from typing import Callable, Iterable, NoReturn
 
 from . import flexdeg, qseries
 from .flexdeg import FlexReport

@@ -38,31 +38,23 @@ range, otherwise an ArithmeticError flags the build as broken.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
-from typing import NamedTuple
 
 from .exact import catalan, exact_div
 from .schubert import _sigma1_column, monomial_integral
 from .truncpoly import chern_total
 
+FlexReport = namedtuple(
+    "FlexReport",
+    "d n_closed n_factorial n_sum_raw n_sum_resolved n_chern_monomial n_chern_schubert agree",
+)
+FlexReport.__doc__ = """All method values for one d; agree covers the five resolved values.
 
-class FlexReport(NamedTuple):
-    """All method values for one d; agree covers the five resolved values.
-
-    A tuple: it unpacks and compares as one, and _fields names its columns
-    in order, the header of `flexk3 table`.
-    """
-
-    d: int
-    n_closed: int
-    n_factorial: int
-    n_sum_raw: int
-    n_sum_resolved: int
-    n_chern_monomial: int
-    n_chern_schubert: int
-    agree: bool
+A tuple: it unpacks and compares as one, and _fields names its columns
+in order, the header of `flexk3 table`."""
 
 
 def _require_positive(d: int) -> None:

@@ -48,45 +48,30 @@ too many digits for float conversion.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import add, itemgetter, mul, sub
-from typing import NamedTuple
 
 from .exact import binomial, exact_div
 from .flexdeg import nd_closed
 
+AsymReport = namedtuple("AsymReport", "d log_exact log_model log_ratio")
+AsymReport.__doc__ = """Exact log versus growth-model log; log_ratio = log_exact - log_model.
 
-class AsymReport(NamedTuple):
-    """Exact log versus growth-model log; log_ratio = log_exact - log_model.
+A tuple, so `d, *logs = asym_flex(d)` unpacks it."""
 
-    A tuple, so `d, *logs = asym_flex(d)` unpacks it.
-    """
+CrossoverRow = namedtuple("CrossoverRow", "d n_d yz_d flex_larger")
+CrossoverRow.__doc__ = "One crossover row: d, n_d, yz_d, and flex_larger, true when n_d > yz_d."
 
-    d: int
-    log_exact: float
-    log_model: float
-    log_ratio: float
+CrossoverReport = namedtuple(
+    "CrossoverReport", "rows first_flex_dominant model_first_flex_dominant"
+)
+CrossoverReport.__doc__ = """Flex vs Yau-Zaslow comparison over d = 1..max_d, a tuple like its rows.
 
-
-class CrossoverRow(NamedTuple):
-    d: int
-    n_d: int
-    yz_d: int
-    flex_larger: bool
-
-
-class CrossoverReport(NamedTuple):
-    """Flex vs Yau-Zaslow comparison over d = 1..max_d, a tuple like its rows.
-
-    rows holds one CrossoverRow per d.  first_flex_dominant is the
-    smallest d with n_d > yz_d (None if the range never gets there);
-    model_first_flex_dominant is the same
-    comparison applied to the two growth models, reported separately
-    because the two notions of "switch" need not land on the same d.
-    """
-
-    rows: list[CrossoverRow]
-    first_flex_dominant: int | None
-    model_first_flex_dominant: int | None
+rows holds one CrossoverRow per d.  first_flex_dominant is the
+smallest d with n_d > yz_d (None if the range never gets there);
+model_first_flex_dominant is the same
+comparison applied to the two growth models, reported separately
+because the two notions of "switch" need not land on the same d."""
 
 
 def divisor_sums(N: int) -> list[int]:

@@ -372,6 +372,18 @@ def test_closed_stdout_pipe_exits_1_quietly():
     proc.stderr.close()
 
 
+def test_cli_import_loads_no_heavy_module():
+    # -S keeps site hooks, which may import typing themselves, out of the count.
+    heavy = ("typing", "re", "enum", "argparse", "gettext", "json", "dataclasses", "inspect", "csv")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"import sys, flexk3.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 JSON_TEXT = st.text(alphabet='"\\\n aZ0é€\U0001f600', max_size=8)
 
 

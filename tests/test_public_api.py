@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+import types
+
+import pytest
+
 import flexk3
+from flexk3 import flexdeg, qseries
 
 
 def test_import_star_resolves_every_exported_name():
@@ -10,3 +16,72 @@ def test_import_star_resolves_every_exported_name():
     exec("from flexk3 import *", namespace)
     for name in flexk3.__all__:
         assert getattr(flexk3, name) is namespace[name]
+
+
+def test_every_public_name_is_exported():
+    public = [
+        name
+        for name, value in vars(flexk3).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(public) == sorted(flexk3.__all__)
+
+
+# record, defining module, exact _fields, first docstring line, a value made by the package
+RECORDS = [
+    (
+        flexdeg.FlexReport,
+        flexdeg,
+        ("d", "n_closed", "n_factorial", "n_sum_raw", "n_sum_resolved",
+         "n_chern_monomial", "n_chern_schubert", "agree"),
+        "All method values for one d; agree covers the five resolved values.",
+        lambda: flexk3.flex_report(4),
+    ),
+    (
+        qseries.AsymReport,
+        qseries,
+        ("d", "log_exact", "log_model", "log_ratio"),
+        "Exact log versus growth-model log; log_ratio = log_exact - log_model.",
+        lambda: flexk3.asym_flex(50),
+    ),
+    (
+        qseries.CrossoverRow,
+        qseries,
+        ("d", "n_d", "yz_d", "flex_larger"),
+        "One crossover row: d, n_d, yz_d, and flex_larger, true when n_d > yz_d.",
+        lambda: flexk3.crossover(12).rows[-1],
+    ),
+    (
+        qseries.CrossoverReport,
+        qseries,
+        ("rows", "first_flex_dominant", "model_first_flex_dominant"),
+        "Flex vs Yau-Zaslow comparison over d = 1..max_d, a tuple like its rows.",
+        lambda: flexk3.crossover(12),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, module, fields, summary, make", RECORDS, ids=[row[0].__name__ for row in RECORDS]
+)
+def test_record_contract(record, module, fields, summary, make):
+    name = record.__name__
+    assert record._fields == fields
+    assert record.__module__ == module.__name__
+    assert getattr(module, name) is getattr(flexk3, name) is record
+    assert record.__doc__.splitlines()[0] == summary
+
+    value = make()
+    assert type(value) is record
+    restored = pickle.loads(pickle.dumps(value))
+    assert type(restored) is record and restored == value
+    assert repr(value) == f"{name}(" + ", ".join(
+        f"{field}={item!r}" for field, item in zip(fields, value)
+    ) + ")"
+    assert value._asdict() == dict(zip(fields, value))
+    assert [getattr(value, field) for field in fields] == list(value)
+    changed = value._replace(**{fields[0]: None})
+    assert type(changed) is record
+    assert changed[0] is None and changed[1:] == value[1:]
+    assert value == tuple(value) and tuple(value) == value
+    assert record(*value) == value
