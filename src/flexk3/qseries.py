@@ -31,7 +31,7 @@ new top index by the logarithmic-derivative identity
 
 and raises ArithmeticError if it fails.  An independent oracle builds
 E = prod (1 - q^n) from the top factor down, checks Ramanujan's congruence
-tau(m) = sigma_11(m) (mod 691) on E^24 (five products of packed integers),
+tau(m) = sigma_11(m) (mod 691) on E^24 (a square and four narrower products),
 and takes E^(-24) from E's own nonzero terms by the same power rule, tied
 to E^24 at q^N: O(N^(3/2)) products, no series identity.
 
@@ -79,9 +79,10 @@ def divisor_sums(N: int) -> list[int]:
     if N < 0:
         raise ValueError(f"negative bound {N}")
     sums = [0] * (N + 1)
-    for div in range(1, N + 1):
-        for k in range(div, N + 1, div):
-            sums[k] += div
+    for d in range(1, math.isqrt(N) + 1):  # k = d q <= N with d <= q gains d and q
+        sums[d * d] += d  # q = d, counted once
+        pairs = slice(d * d + d, None, d)  # q = d + 1..N // d
+        sums[pairs] = [s + t for s, t in zip(sums[pairs], range(2 * d + 1, d + N // d + 1))]
     return sums
 
 
@@ -155,35 +156,42 @@ def _euler_product(N: int) -> list[int]:
 def _euler_power_24(e: list[int]) -> list[int]:
     """E^24 truncated at q^N, N = len(e) - 1, by Kronecker substitution.
 
-    E = sum_k e[k] q^k, here prod_{n <= N} (1 - q^n).  The map q -> 2^w
-    from Z[q]/(q^(N+1)) to Z/2^((N+1)w) is a ring homomorphism, so E^24 is
-    five products of packed integers, x^2, x^4, x^8, x^16 and x^16 x^8, each
-    reduced mod 2^((N+1)w).  A slot that overflows in between does no harm:
-    only the final coefficients c_k need |c_k| < 2^(w-1), and then a bias of
-    2^(w-1) in every slot reads each one back without carries.  With
-    D = 1 - E and L the sum of the absolute values of D's coefficients,
-    E^24 = sum_j C(24, j) (-D)^j and D^j starts at q^j, so
+    E = sum_k e[k] q^k, here prod_{n <= N} (1 - q^n).  The map q -> 2^(8w)
+    from Z[q]/(q^(N+1)) to Z/2^(8w(N+1)) is a ring homomorphism, so a
+    truncated product is one product of packed integers, and a bias of
+    2^(8w-1) per w-byte slot reads each coefficient c_k back without
+    carries when |c_k| < 2^(8w-1).  With D = 1 - E and L the sum of the
+    absolute values of D's coefficients, E^m = sum_j C(m, j) (-D)^j and
+    D^j starts at q^j, so the coefficients of E^m obey
 
-        |c_k| <= sum_{j <= min(24, N)} C(24, j) L^j,
+        |c_k| <= sum_{j <= min(m, N)} C(m, j) L^j,
 
-    a bound read off E itself, not from any series identity; w is the
-    least multiple of 8 that exceeds its bit length.  E's own
-    coefficients, at most L in size, go into the same biased slots.
+    read off E itself, not from any series identity.  The chain E, E^2,
+    E^3 = E^2 E, E^6, E^12, E^24 holds each E^m in slots of w_m bytes, the
+    least whose half exceeds that bound, so each power reads back exactly
+    and is widened into the next one's slots by w_m strided byte copies and
+    one packed bias.  Only the last step, a square, runs at width w_24.
     """
-    ell = sum(map(abs, e)) - 1
-    bound = sum(binomial(24, j) * ell**j for j in range(min(25, len(e))))
-    width = bound.bit_length() // 8 + 1  # bytes per slot
-    half = 1 << (8 * width - 1)
-    size = len(e) * width
-    mask = (1 << 8 * size) - 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * len(e), "little")
-    packed = b"".join((c + half).to_bytes(width, "little") for c in e)
-    x = (int.from_bytes(packed, "little") - bias) & mask  # E
-    for _ in range(3):
-        x = x * x & mask  # E^2, E^4, E^8
-    x = (x * x & mask) * x & mask  # E^16 E^8
-    packed = ((x + bias) & mask).to_bytes(size, "little")
-    return [int.from_bytes(packed[i : i + width], "little") - half for i in range(0, size, width)]
+    ell, count = sum(map(abs, e)) - 1, len(e)
+
+    def slot_bytes(m):  # w_m
+        return sum(binomial(m, j) * ell**j for j in range(min(m + 1, count))).bit_length() // 8 + 1
+
+    def widen(packed, wide, ones):  # sum_k c_k 2^(8 wide k) from the biased slots of packed
+        narrow, out = len(packed) // count, bytearray(count * wide)
+        for i in range(narrow):
+            out[i::wide] = packed[i::narrow]
+        return int.from_bytes(out, "little") - (1 << 8 * narrow - 1) * ones
+
+    w = slot_bytes(1)
+    powers = {1: b"".join((c + (1 << 8 * w - 1)).to_bytes(w, "little") for c in e)}
+    for m in (2, 3, 6, 12, 24):  # E^m = E^(m // 2) E^(m - m // 2), a square but for m = 3
+        w = slot_bytes(m)
+        half, ones = 1 << 8 * w - 1, int.from_bytes(b"\1".ljust(w, b"\0") * count, "little")
+        x = widen(powers[m // 2], w, ones)
+        x = x * (widen(powers[2], w, ones) if m == 3 else x) + half * ones
+        packed = powers[m] = (x & (1 << 8 * w * count) - 1).to_bytes(w * count, "little")
+    return [int.from_bytes(packed[i : i + w], "little") - half for i in range(0, len(packed), w)]
 
 
 def _check_ramanujan_691(tau: list[int]) -> None:
@@ -203,9 +211,11 @@ def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
     """Same coefficients from the expanded product E = prod_{n <= N} (1 - q^n).
 
     E comes from _euler_product (N^2 / 4 small subtractions) and E^24, sum_n
-    tau(n+1) q^n, from _euler_power_24; it must pass Ramanujan's congruence
-    mod 691.  E P' = -24 E' P (Miller's power rule) gives P = E^(-24) from
-    E's own nonzero terms e_k (32 to q^400),
+    tau(n+1) q^n, from _euler_power_24: each E^m on its chain is read back
+    exactly from slots past twice its bound sum_{j <= min(m, N)} C(m, j) L^j,
+    L = sum_k |e_k| - 1.  E^24 must pass Ramanujan's congruence mod 691.
+    E P' = -24 E' P (Miller's power rule) gives P = E^(-24) from E's own
+    nonzero terms e_k (32 to q^400),
 
         n a(n) = -sum_{k >= 1, e_k != 0} e_k (n + 23 k) a(n - k),
 

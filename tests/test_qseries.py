@@ -82,6 +82,20 @@ def product_by_factors(N: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def truncated_powers(e: list[int], top: int) -> list[list[int]]:
+    """E^0, E^1, ..., E^top, each truncated at q^N, N = len(e) - 1: every
+    power is the one before times E, one nonzero term of E at a time."""
+    N = len(e) - 1
+    powers = [[1] + [0] * N]
+    for _ in range(top):
+        power = [0] * (N + 1)
+        for k, c in enumerate(e):
+            if c:
+                power[k:] = map(add, power[k:], map(c.__mul__, powers[-1][: N + 1 - k]))
+        powers.append(power)
+    return powers
+
+
 @cache
 def reference_600() -> tuple[int, ...]:
     return tuple(sigma_recurrence(600))
@@ -89,6 +103,18 @@ def reference_600() -> tuple[int, ...]:
 
 def test_divisor_sums_sieve():
     assert divisor_sums(12) == [0, 1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12, 28]
+
+
+@given(st.integers(min_value=0, max_value=500))
+@example(0)
+@example(1)
+@example(500)
+def test_divisor_sums_match_the_double_loop(N):
+    sums = [0] * (N + 1)
+    for div in range(1, N + 1):
+        for k in range(div, N + 1, div):
+            sums[k] += div
+    assert divisor_sums(N) == sums
 
 
 def test_euler_series_known_coefficients():
@@ -124,7 +150,28 @@ def test_product_oracle_bounds_its_slots_with_binomial(monkeypatch):
 
     monkeypatch.setattr(qseries, "binomial", recording_binomial)
     assert euler_power_neg24_by_product(3) == (1, 24, 324, 3200)
-    assert calls == [(24, 0), (24, 1), (24, 2), (24, 3)]
+    # one bound per power on the chain E, E^2, E^3, E^6, E^12, E^24, j <= min(m, N)
+    assert calls == [(m, j) for m in (1, 2, 3, 6, 12, 24) for j in range(min(m, 3) + 1)]
+
+
+def test_euler_power_24_matches_convolution_and_fits_each_power_in_its_slots():
+    # E^m sits in w_m-byte slots, w_m the least whose half exceeds
+    # sum_{j <= min(m, N)} C(m, j) L^j; each truncated power must fit them, and
+    # some N below needs every w_m whole, so a byte fewer in any slot misreads.
+    needs_every_byte = set()
+    for N in [*range(1, 61), 400]:
+        e = qseries._euler_product(N)
+        powers = truncated_powers(e, 24)
+        assert qseries._euler_power_24(e) == powers[24], N
+        ell = sum(map(abs, e)) - 1
+        for m in (1, 2, 3, 6, 12, 24):
+            bound = sum(binomial(m, j) * ell**j for j in range(min(m, N) + 1))
+            width = bound.bit_length() // 8 + 1
+            largest = max(map(abs, powers[m]))
+            assert largest <= bound and largest < 1 << 8 * width - 1, (N, m)
+            if largest.bit_length() >= 8 * width - 8:
+                needs_every_byte.add(m)
+    assert needs_every_byte == {1, 2, 3, 6, 12, 24}
 
 
 def test_product_oracle_checks_ramanujan_congruence(monkeypatch):
