@@ -31,7 +31,6 @@ from math import comb
 from types import SimpleNamespace
 
 from . import flexdeg, qseries
-from .flexdeg import FlexReport
 from .schubert import _sigma1_column, _sigma1_step, monomial_integral
 
 # The paper's claimed first flex-dominant d, as an inclusive range.
@@ -96,26 +95,17 @@ def _render_rows(header: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> No
 def cmd_nd(args: SimpleNamespace) -> int:
     if args.method == "all":
         report = flexdeg.flex_report(args.d)
-        _render_rows(FlexReport._fields, [report], args.format)
+        _render_rows(report._fields, [report], args.format)
         return 0 if report.agree else 1
-    if args.method == "sum":
-        fields, values = ("n_sum_raw", "n_sum_resolved"), flexdeg.nd_double_sum(args.d)
-    else:
-        field, func = {
-            "closed": ("n_closed", flexdeg.nd_closed),
-            "factorial": ("n_factorial", flexdeg.nd_factorial),
-            "monomial": ("n_chern_monomial", flexdeg.nd_chern_monomial),
-            "schubert": ("n_chern_schubert", flexdeg.nd_chern_schubert),
-        }[args.method]
-        fields, values = (field,), (func(args.d),)
-    if args.format == "text":
-        if len(values) == 1:
-            print(values[0])
-        else:
-            for name, value in zip(fields, values):
-                print(f"{name} {value}")
-    else:
+    fields, name = flexdeg.ROUTES[args.method]
+    values = getattr(flexdeg, name)(args.d)
+    values = values if len(fields) > 1 else (values,)
+    if args.format != "text":
         _render_rows(("d", *fields), [(args.d, *values)], args.format)
+    elif len(fields) == 1:
+        print(*values)
+    else:
+        print(*map("{} {}".format, fields, values), sep="\n")
     return 0
 
 
@@ -123,7 +113,7 @@ def cmd_table(args: SimpleNamespace) -> int:
     if args.d_from > args.d_to:
         _fail("flexk3", _TOP, f"--from {args.d_from} exceeds --to {args.d_to}")
     reports = flexdeg.cross_check(args.d_from, args.d_to)
-    _render_rows(FlexReport._fields, reports, args.format)
+    _render_rows(flexdeg.FlexReport._fields, reports, args.format)
     return 0 if all(r.agree for r in reports) else 1
 
 
@@ -294,8 +284,8 @@ _TOP = (_HELP, ("--debug", "debug", None, False,
                 "re-raise internal failures with their traceback instead of exiting 1"))
 _FORMAT = ("--format", "format", ("text", "csv", "json"), "text", "output format")
 _D = ("-d", "d", 1, None, "half-degree d >= 1")
-_METHOD = ("--method", "method", ("closed", "factorial", "sum", "monomial", "schubert", "all"),
-           "all", "route to run; all runs the five and cross-checks them")
+_METHOD = ("--method", "method", (*flexdeg.ROUTES, "all"), "all",
+           "route to run; all runs the five and cross-checks them")
 # Subcommand -> (help line, handler, options after -h and --format).
 COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple]] = {
     "nd": ("single flex multiple n_d", cmd_nd, (_D, _METHOD)),

@@ -26,6 +26,12 @@ This module computes n_d five ways and cross-validates:
   5. nd_chern_schubert   the same pairing, its integrals read off one kept
                       sigma1 Pieri walk, no closed form (see its docstring)
 
+ROUTES lists the five in this order, each by its --method name, its
+FlexReport columns and its function's name: the one list behind the
+CLI's --method, FlexReport._fields and flex_report.  It holds names, read
+at call time, because the benchmark tracer and the tests patch the
+module's attributes, which a table of functions would not see.
+
 Routes 4 and 5 share the degree-(2d-1) Chern part, chern_total's d
 coefficients (one binomial, then d-1 ratio steps), but integrate
 independently: route 4 against a Catalan column (one closed-form
@@ -47,9 +53,16 @@ from .exact import catalan, exact_div
 from .schubert import _sigma1_column, monomial_integral
 from .truncpoly import chern_total
 
+# --method name -> (its FlexReport columns, the last one its n_d; its function's name).
+ROUTES = {
+    "closed": (("n_closed",), "nd_closed"),
+    "factorial": (("n_factorial",), "nd_factorial"),
+    "sum": (("n_sum_raw", "n_sum_resolved"), "nd_double_sum"),
+    "monomial": (("n_chern_monomial",), "nd_chern_monomial"),
+    "schubert": (("n_chern_schubert",), "nd_chern_schubert"),
+}
 FlexReport = namedtuple(
-    "FlexReport",
-    "d n_closed n_factorial n_sum_raw n_sum_resolved n_chern_monomial n_chern_schubert agree",
+    "FlexReport", ["d", *(column for columns, _ in ROUTES.values() for column in columns), "agree"]
 )
 FlexReport.__doc__ = """All method values for one d; agree covers the five resolved values.
 
@@ -186,15 +199,13 @@ def nd_chern_schubert(d: int) -> int:
 
 
 def flex_report(d: int) -> FlexReport:
-    """Compute every method for one d and record whether they all agree."""
-    _require_positive(d)
-    closed = nd_closed(d)
-    fact = nd_factorial(d)
-    raw, resolved = nd_double_sum(d)
-    monomial = nd_chern_monomial(d)
-    operator = nd_chern_schubert(d)
-    agree = closed == fact == resolved == monomial == operator
-    return FlexReport(d, closed, fact, raw, resolved, monomial, operator, agree)
+    """Run every route of ROUTES for one d and record whether their n_d all agree."""
+    row, found, scope = [d], set(), globals()
+    for columns, name in ROUTES.values():
+        value = scope[name](d)
+        row += value if len(columns) > 1 else (value,)
+        found.add(row[-1])
+    return FlexReport(*row, len(found) == 1)
 
 
 def cross_check(d_lo: int, d_hi: int) -> list[FlexReport]:

@@ -276,8 +276,6 @@ def yz_log_model(d: int) -> float:
 
 def asym_flex(d: int) -> AsymReport:
     """Compare ln n_d against the flex growth model."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
     log_exact = log_int(nd_closed(d))
     log_model = flex_log_model(d)
     return AsymReport(d, log_exact, log_model, log_exact - log_model)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexk3 import cli
+from flexk3 import cli, flexdeg
 
 ROOT = Path(__file__).resolve().parent.parent
 ND_FIRST_NINE = ["3", "20", "175", "1764", "19404", "226512", "2760615", "34763300", "449141836"]
@@ -50,6 +50,44 @@ def test_nd_sum_prints_raw_and_resolved(capsys):
     code, out = run_cli(capsys, "nd", "-d", "1", "--method", "sum")
     assert code == 0
     assert out == "n_sum_raw -3\nn_sum_resolved 3\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("method", flexdeg.ROUTES)
+def test_nd_method_prints_its_route_columns(capsys, method, fmt):
+    columns = flexdeg.ROUTES[method][0]
+    report = flexdeg.flex_report(7)._asdict()
+    want = {name: str(report[name]) for name in columns}
+    code, out = run_cli(capsys, "nd", "-d", "7", "--method", method, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out) == [{"d": "7", **want}]
+    elif fmt == "csv":
+        assert out.splitlines() == [",".join(["d", *want]), ",".join(["7", *want.values()])]
+    elif len(columns) == 1:
+        assert out == f"{want[columns[0]]}\n"
+    else:
+        assert out.splitlines() == [f"{name} {value}" for name, value in want.items()]
+
+
+@pytest.mark.parametrize("method", flexdeg.ROUTES)
+def test_nd_dispatch_calls_the_patched_route(capsys, monkeypatch, method):
+    # flex_report(5) before the patch also settles the double sum's sign
+    # calibration, which reads nd_closed on d = 1..5.
+    n5 = flexdeg.flex_report(5).n_closed
+    columns, name = flexdeg.ROUTES[method]
+    route = getattr(flexdeg, name)
+
+    def off_by_one(d):
+        value = route(d)
+        return (*value[:-1], value[-1] + 1) if len(columns) > 1 else value + 1
+
+    monkeypatch.setattr(flexdeg, name, off_by_one)
+    assert not flexdeg.flex_report(5).agree
+    assert run_cli(capsys, "nd", "-d", "5")[0] == 1
+    code, out = run_cli(capsys, "nd", "-d", "5", "--method", method, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[-1] == str(n5 + 1)
 
 
 def test_nd_usage_errors_exit_2(capsys):

@@ -192,7 +192,7 @@ def test_chern_schubert_matches_table():
 
 
 def test_rejects_nonpositive_d():
-    for func in (nd_closed, nd_factorial, nd_chern_monomial, nd_chern_schubert):
+    for func in (nd_closed, nd_factorial, nd_chern_monomial, nd_chern_schubert, flex_report):
         with pytest.raises(ValueError):
             func(0)
     with pytest.raises(ValueError):
