@@ -11,6 +11,7 @@ from itertools import compress
 from operator import mul
 
 PRIME_ROUTE_MIN_D = 512
+SHORT_DIV_MIN_BITS = 2000  # divisor bits where _exact_div_short catches divmod (0.85x its time at 2500)
 
 
 def binomial(n: int, k: int) -> int:
@@ -37,6 +38,19 @@ def exact_div(a: int, b: int) -> int:
         b, a = (x if x.bit_length() <= 1000 else f"a {x.bit_length()}-bit integer" for x in (b, a))
         raise ArithmeticError(f"expected {b} to divide {a} exactly")
     return q
+
+
+def _exact_div_short(a: int, b: int) -> int:
+    """exact_div(a, b) for a quotient R shorter than b, from b's top bits.  If b
+    divides a > 0, the floor of (a >> s) / (b >> s), s = 2 len(b) - len(a) - 2, lies
+    in [R, R + R/(b >> s)) with b >> s >= 2^(len(a) - len(b) + 1) > R, so it is R;
+    q b == a asserts that, else exact_div raises.  An O(len(R)^2) division and one
+    Karatsuba product replace O(len(R) len(b)) schoolbook steps."""
+    s = 2 * b.bit_length() - a.bit_length() - 2
+    if s < 0 or not 0 < b <= a or b.bit_length() < SHORT_DIV_MIN_BITS:
+        return exact_div(a, b)
+    q = (a >> s) // (b >> s)
+    return q if q * b == a else exact_div(a, b)
 
 
 def _central_binomial(d: int) -> int:

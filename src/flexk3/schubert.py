@@ -34,7 +34,7 @@ from __future__ import annotations
 from math import factorial
 from operator import add
 
-from .exact import exact_div
+from .exact import _exact_div_short
 
 
 def monomial_integral(m: int, n: int, d: int) -> int:
@@ -50,7 +50,7 @@ def monomial_integral(m: int, n: int, d: int) -> int:
     if m + 2 * n != 2 * d:
         raise ValueError(f"degree {m} + 2*{n} != 2*{d}, not a top-degree monomial")
     h = m // 2
-    return exact_div(factorial(m), factorial(h) * factorial(h + 1))
+    return _exact_div_short(factorial(m), factorial(h) * factorial(h + 1))
 
 
 # Private: bench/tracer.py spans public functions, and d = 1..D walk 2D steps.

@@ -72,8 +72,6 @@ def test_nd_method_prints_its_route_columns(capsys, method, fmt):
 
 @pytest.mark.parametrize("method", flexdeg.ROUTES)
 def test_nd_dispatch_calls_the_patched_route(capsys, monkeypatch, method):
-    # flex_report(5) before the patch also settles the double sum's sign
-    # calibration, which reads nd_closed on d = 1..5.
     n5 = flexdeg.flex_report(5).n_closed
     columns, name = flexdeg.ROUTES[method]
     route = getattr(flexdeg, name)
@@ -88,6 +86,19 @@ def test_nd_dispatch_calls_the_patched_route(capsys, monkeypatch, method):
     code, out = run_cli(capsys, "nd", "-d", "5", "--method", method, "--format", "csv")
     assert code == 0
     assert out.splitlines()[1].split(",")[-1] == str(n5 + 1)
+
+
+def test_faulty_route_1_is_a_disagreement_in_any_call_order(capsys, monkeypatch):
+    # the double sum's sign calibrates against literals, so a faulty nd_closed
+    # read by a cold calibration does not fail route 3
+    flexdeg._double_sum_sign.cache_clear()
+    route = flexdeg.nd_closed
+    monkeypatch.setattr(flexdeg, "nd_closed", lambda d: route(d) + 1)
+    assert not flexdeg.flex_report(5).agree
+    flexdeg._double_sum_sign.cache_clear()
+    code, out = run_cli(capsys, "nd", "-d", "5", "--method", "sum", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "5,-19404,19404"
 
 
 def test_nd_usage_errors_exit_2(capsys):

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from math import comb, factorial
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flexk3 import exact
-from flexk3.exact import PRIME_ROUTE_MIN_D, _central_binomial, binomial, catalan, exact_div
+from flexk3.exact import (
+    PRIME_ROUTE_MIN_D,
+    SHORT_DIV_MIN_BITS,
+    _central_binomial,
+    _exact_div_short,
+    binomial,
+    catalan,
+    exact_div,
+)
 from flexk3.flexdeg import nd_closed
 
 
@@ -52,8 +61,9 @@ def test_exact_div_names_huge_operands_by_bit_length():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        with pytest.raises(ArithmeticError, match="^expected a 38117-bit integer to divide a 42100"):
-            exact_div(factorial(4000) + 1, 2001 * factorial(2000) ** 2)
+        for divide in (exact_div, _exact_div_short):
+            with pytest.raises(ArithmeticError, match="^expected a 38117-bit integer to divide a 42100"):
+                divide(factorial(4000) + 1, 2001 * factorial(2000) ** 2)
         with pytest.raises(ArithmeticError, match=f"^expected 3 to divide {2**1000 - 2} exactly$"):
             exact_div(2**1000 - 2, 3)
         with pytest.raises(ArithmeticError, match="^expected 3 to divide a 1001-bit integer exactly$"):
@@ -75,6 +85,85 @@ def test_exact_div_any_signs(q, b, r):
     else:
         assert exact_div(a, b) == a // b
         assert exact_div(a, b) * b == a
+
+
+def exact_div_message(a: int, b: int) -> str:
+    with pytest.raises(ArithmeticError) as caught:
+        exact_div(a, b)
+    return str(caught.value)
+
+
+@pytest.fixture
+def plain_calls(monkeypatch):
+    """The calls _exact_div_short passes on to exact_div."""
+    calls = []
+    monkeypatch.setattr(exact, "exact_div", lambda a, b: calls.append((a, b)) or exact_div(a, b))
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_div_short_is_exact_div_for_long_divisors(data):
+    b_bits = data.draw(st.integers(SHORT_DIV_MIN_BITS - 2, 3 * SHORT_DIV_MIN_BITS), "b bits")
+    b = data.draw(st.integers(2 ** (b_bits - 1), 2**b_bits - 1), "b")
+    q_bits = data.draw(st.integers(1, b_bits + 2), "q bits")
+    q = data.draw(st.integers(2 ** (q_bits - 1), 2**q_bits - 1), "q")
+    r = data.draw(st.sampled_from((0, 1, -1)) | st.integers(1, b - 1), "r")
+    a = q * b + r
+    if r:
+        with pytest.raises(ArithmeticError) as caught:
+            _exact_div_short(a, b)
+        assert str(caught.value) == exact_div_message(a, b)
+    else:
+        assert _exact_div_short(a, b) == q
+
+
+def test_exact_div_short_takes_the_short_path_on_exact_divisions(plain_calls):
+    # random quotients up to two bits shorter than the divisor, so s >= 0:
+    # the truncated quotient must be exact, with no divmod to fall back on
+    rng = random.Random(28)
+    for _ in range(400):
+        b_bits = rng.randrange(SHORT_DIV_MIN_BITS, 3 * SHORT_DIV_MIN_BITS)
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        q = rng.getrandbits(rng.randrange(1, b_bits - 1)) | 1
+        assert _exact_div_short(q * b, b) == q
+    assert plain_calls == []
+
+
+def test_exact_div_short_cutoff_and_shift_boundaries(plain_calls):
+    # (q, b, s, short): s = 2 len(b) - len(q b) - 2, and top and low have n bits
+    n = SHORT_DIV_MIN_BITS
+    top, low = 2**n - 1, 2 ** (n - 1) + 1
+    cases = [
+        (2 ** (n - 2) - 1, top, 0, True),  # the longest quotient with s >= 0
+        (2 ** (n - 2) + 1, low, 0, True),
+        (2 ** (n - 3) - 1, top, 1, True),
+        (2 ** (n - 3) + 3, low, 1, True),
+        (2 ** (n - 1) - 1, top, -1, False),  # one bit longer: plain divmod
+        (7, low, n - 4, True),
+        (7, low // 2, None, False),  # a divisor one bit short of the cutoff
+        (2 ** (n // 2) + 1, top // 2, None, False),
+    ]
+    for q, b, s, short in cases:
+        a = q * b
+        if s is not None:
+            assert 2 * b.bit_length() - a.bit_length() - 2 == s, (q, b)
+        plain_calls.clear()
+        assert _exact_div_short(a, b) == q
+        assert plain_calls == ([] if short else [(a, b)])
+        with pytest.raises(ArithmeticError):
+            _exact_div_short(a + 1, b)
+
+
+def test_exact_div_short_hands_other_signs_to_exact_div(plain_calls):
+    b = 2**SHORT_DIV_MIN_BITS + 1
+    assert _exact_div_short(-3 * b, b) == -3
+    assert _exact_div_short(3 * b, -b) == -3
+    assert _exact_div_short(-3 * b, -b) == 3
+    assert _exact_div_short(0, b) == 0
+    assert plain_calls == [(-3 * b, b), (3 * b, -b), (-3 * b, -b), (0, b)]
+    with pytest.raises(ArithmeticError):
+        _exact_div_short(b - 1, b)  # a positive a shorter than b
 
 
 def test_catalan_small_values():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import repeat
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import add, mul
 
 import pytest
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from schubert_reference import mul_sigma2, pieri_sigma1
 
-from flexk3 import cli, flexdeg, schubert
-from flexk3.exact import catalan, exact_div
+from flexk3 import cli, exact, flexdeg, schubert
+from flexk3.exact import _exact_div_short, catalan, exact_div
 from flexk3.flexdeg import (
     _double_sum_raw,
     FlexReport,
@@ -125,11 +125,12 @@ def test_factorial_makes_one_asserted_division(monkeypatch):
 
     def recording_div(a, b):
         calls.append((a, b))
-        return exact_div(a, b)
+        return _exact_div_short(a, b)
 
-    monkeypatch.setattr(flexdeg, "exact_div", recording_div)
+    monkeypatch.setattr(flexdeg, "_exact_div_short", recording_div)
+    monkeypatch.setattr(flexdeg, "exact_div", None)
     assert nd_factorial(7) == ND_FIRST_NINE[6]
-    assert calls == [(factorial(14), 8 * factorial(7) ** 2)]
+    assert calls == [(perm(14, 7), factorial(8))]
 
 
 @pytest.mark.parametrize("d", [3578, 4000, 20000])
@@ -138,14 +139,26 @@ def test_factorial_matches_closed_form_large_d(d):
 
 
 def test_factorial_asserts_its_root_division(monkeypatch):
-    d = 7
+    # d = 600 divides by 601!, past exact.SHORT_DIV_MIN_BITS
+    for name in ("perm", "factorial"):
+        for d in (7, 600):
+            with monkeypatch.context() as patch:
+                real = getattr(flexdeg, name)
+                patch.setattr(flexdeg, name, lambda *args: real(*args) + 1)
+                with pytest.raises(ArithmeticError, match="^expected .* to divide .* exactly$"):
+                    nd_factorial(d)
 
-    def poisoned(n):
-        return factorial(n) + 1 if n == 2 * d else factorial(n)
 
-    monkeypatch.setattr(flexdeg, "factorial", poisoned)
-    with pytest.raises(ArithmeticError):
-        nd_factorial(d)
+def test_factorial_takes_no_binomial_or_catalan(monkeypatch):
+    expected = {d: (2 * d + 1) * (comb(2 * d, d) // (d + 1)) ** 2 for d in (7, 600)}
+
+    def forbidden(*args):
+        raise AssertionError("route 2 reached route 1's arithmetic")
+
+    monkeypatch.setattr(flexdeg, "comb", forbidden)
+    monkeypatch.setattr(flexdeg, "catalan", forbidden)
+    monkeypatch.setattr(exact, "_central_binomial", forbidden)
+    assert {d: nd_factorial(d) for d in expected} == expected
 
 
 def test_double_sum_matches_table():
