@@ -68,13 +68,17 @@ def _print_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
     sys.stdout.writelines(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
-def _json_table_value(header: tuple[str, ...], rows: Iterable[tuple]) -> list[dict[str, object]]:
-    """One object per row, keyed by header; booleans stay JSON booleans and
-    every other value becomes a string."""
-    return [
-        {name: value if isinstance(value, bool) else str(value) for name, value in zip(header, row)}
-        for row in rows
-    ]
+def _write_json_rows(header: tuple[str, ...], rows: Iterable[tuple], pad: str = "") -> None:
+    """json.dumps of one object per row keyed by header (booleans kept, all else strings),
+    indent=2, pad before each line but the first, no closing newline; a row at a time."""
+    import json
+    keys = [f"{pad}    {json.dumps(name)}: " for name in header]
+    first = opening = f"[\n{pad}  {{\n"
+    for row in rows:
+        values = (json.dumps(v if isinstance(v, bool) else str(v)) for v in row)
+        sys.stdout.write(opening + ",\n".join(map(str.__add__, keys, values)))
+        opening = f"\n{pad}  }},\n{pad}  {{\n"
+    sys.stdout.write("[]" if opening is first else f"\n{pad}  }}\n{pad}]")
 
 
 def _render_rows(header: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> None:
@@ -82,14 +86,9 @@ def _render_rows(header: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> No
         _print_text_table(header, rows)
     elif fmt == "csv":
         _print_csv(header, rows)
-    else:  # json.dumps(_json_table_value(header, rows), indent=2), written a row at a time
-        import json
-        keys, opening = [f"    {json.dumps(name)}: " for name in header], "[\n  {\n"
-        for row in rows:
-            values = (json.dumps(v if isinstance(v, bool) else str(v)) for v in row)
-            sys.stdout.write(opening + ",\n".join(map(str.__add__, keys, values)))
-            opening = "\n  },\n  {\n"
-        sys.stdout.write("[]\n" if opening == "[\n  {\n" else "\n  }\n]\n")
+    else:
+        _write_json_rows(header, rows)
+        sys.stdout.write("\n")
 
 
 def cmd_nd(args: SimpleNamespace) -> int:
@@ -138,15 +137,16 @@ def cmd_crossover(args: SimpleNamespace) -> int:
     else:
         verdict = f"exact comparison gives d={exact} (disagrees)"
     note = f"claimed switch window: {CLAIMED_WINDOW}; {verdict}"
-    if args.format == "json":
+    if args.format == "json":  # json.dumps of these four keys, indent=2, a row at a time
         import json
-        obj = {
-            "rows": _json_table_value(header, report.rows),
+        sys.stdout.write('{\n  "rows": ')
+        _write_json_rows(header, report.rows, "  ")
+        tail = {
             "first_flex_dominant": None if exact is None else str(exact),
             "model_first_flex_dominant": None if model is None else str(model),
             "claimed_window": CLAIMED_WINDOW,
         }
-        print(json.dumps(obj, indent=2))
+        sys.stdout.write(",\n" + json.dumps(tail, indent=2)[2:] + "\n")
         return 0
     _render_rows(header, report.rows, args.format)
     prefix = "# " if args.format == "csv" else ""
@@ -315,12 +315,12 @@ def _usage(prog: str, options: tuple) -> str:
     return " ".join(["usage:", prog, *words, *tail])
 
 
-def _fail(prog: str, options: tuple, message: str) -> NoReturn:
+def _fail(prog: str, options: tuple, message: str) -> None:  # never returns: raises SystemExit
     sys.stderr.write(f"{_usage(prog, options)}\n{prog}: error: {message}\n")
     raise SystemExit(2)
 
 
-def _help(prog: str, summary: str, options: tuple) -> NoReturn:
+def _help(prog: str, summary: str, options: tuple) -> None:  # never returns: raises SystemExit
     rows = [(name, entry[0]) for name, entry in COMMANDS.items()] if options is _TOP else []
     for flag, dest, rule, default, text in options:
         tag = " (required)" if default is None else "" if rule is None else f" (default: {default})"
@@ -331,7 +331,7 @@ def _help(prog: str, summary: str, options: tuple) -> NoReturn:
     raise SystemExit(0)
 
 
-def _classify(arg: str, flags: dict, fail: Callable[[str], NoReturn]) -> tuple | None:
+def _classify(arg: str, flags: dict, fail: Callable[[str], None]) -> tuple | None:
     """How one argument reads: None for a positional, ("", None) for an unknown
     option, else (flag, the value given in the same argument or None)."""
     if arg[:1] != "-" or arg == "-":

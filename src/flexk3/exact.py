@@ -1,17 +1,19 @@
 """Exact combinatorial kernel: binomials, exact division, Catalan numbers.
 
 Results are exact Python integers at any size.  From d = PRIME_ROUTE_MIN_D on,
-catalan multiplies out the prime powers of C(2d, d); below, math.comb is faster.
+catalan multiplies out the prime powers of C(2d, d), its primes read off one
+sieve the process keeps and grows; below, math.comb is faster.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, zip_longest
 from operator import mul
 
 PRIME_ROUTE_MIN_D = 512
 SHORT_DIV_MIN_BITS = 2000  # divisor bits where _exact_div_short catches divmod (0.85x its time at 2500)
+_odd_primes = bytearray()  # [i] is 1 just when 2i + 1 is prime, for all i below its length
 
 
 def binomial(n: int, k: int) -> int:
@@ -54,15 +56,29 @@ def _exact_div_short(a: int, b: int) -> int:
 
 
 def _central_binomial(d: int) -> int:
-    """C(2d, d) for d >= 0 as the product of p**e_p over the primes p <= 2d (Legendre)."""
-    n, h = 2 * d, (math.isqrt(2 * d) + 1) // 2  # 2i + 1 <= sqrt(2d) just when i < h
-    sieve = bytearray(b"\0" + b"\1" * (d - 1))  # sieve[i]: is 2i + 1 prime, 2i + 1 < 2d
-    for p in range(3, 2 * h, 2):
-        if sieve[p // 2]:
-            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, d, p)))
-    # past sqrt(2d) only the term i = 1 can be nonzero, and it is floor(2d/p) mod 2
-    factors = [p for p in compress(range(2 * h + 1, n, 2), sieve[h:]) if n // p & 1]
-    for p in (2, *compress(range(1, 2 * h, 2), sieve[:h])):
+    """C(2d, d) for d >= 0 as the product of p**e_p over the primes p <= 2d (Legendre).
+
+    The primes are read off _odd_primes, a sieve the process keeps: when it is
+    short of d it is re-sieved at length max(d, 5L // 4), L its length, and
+    replaced in one assignment, so an interrupt leaves the old one.  Past
+    sqrt(2d), e_p = floor(2d/p) mod 2 and floor(2d/p) = m on (2d/(m+1), 2d/m],
+    so the odd m give O(sqrt(d)) slices of the sieve read out at C level, their
+    primes multiplied 16 at a time by math.prod, then by a balanced tree.
+    """
+    global _odd_primes
+    if len(_odd_primes) < d:
+        size = max(d, len(_odd_primes) * 5 // 4)
+        sieve = bytearray(b"\0" + b"\1" * (size - 1))
+        for p in range(3, math.isqrt(2 * size) + 1, 2):
+            if sieve[p // 2]:
+                sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+        _odd_primes = sieve
+    n, h, table, factors = 2 * d, (math.isqrt(2 * d) + 1) // 2, _odd_primes, []
+    for m in range(1, n // (2 * h + 1) + 1, 2):  # p = 2i + 1 > sqrt(2d) (i >= h), floor(2d/p) = m
+        lo, hi = max(h, (n // (m + 1) + 1) // 2), (n // m + 1) // 2
+        factors += compress(range(2 * lo + 1, 2 * hi + 1, 2), table[lo:hi])
+    factors = [*map(math.prod, zip_longest(*[iter(factors)] * 16, fillvalue=1))]
+    for p in (2, *compress(range(1, 2 * h, 2), table[:h])):
         e, q = 0, p
         while q <= n:  # e_p = sum over q = p**i <= 2d of floor(2d/q) - 2 floor(d/q)
             e, q = e + n // q - 2 * (d // q), q * p
@@ -74,8 +90,8 @@ def _central_binomial(d: int) -> int:
 
 def catalan(d: int) -> int:
     """Catalan number C(d) = C(2d, d) / (d + 1) for d >= 0.  C(2d, d) is math.comb
-    below PRIME_ROUTE_MIN_D, where the prime route costs more (12 against 0.1 us
-    at d = 33; the two cross near d = 550), and _central_binomial from there on."""
+    below PRIME_ROUTE_MIN_D, where the prime route costs more (13 against 0.2 us
+    at d = 33; the two cross near d = 480), and _central_binomial from there on."""
     if d < 0:
         raise ValueError(f"catalan of negative integer {d}")
     return exact_div(_central_binomial(d) if d >= PRIME_ROUTE_MIN_D else math.comb(2 * d, d), d + 1)

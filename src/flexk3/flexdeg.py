@@ -8,7 +8,8 @@ n_d of the polarization class, with
 
 This module computes n_d five ways and cross-validates:
 
-  1. nd_closed        the closed form above; C(2d, d) by prime powers from d = 512
+  1. nd_closed        the closed form above, its last 32 answers kept; C(2d, d)
+                      by prime powers from d = 512, off one kept prime sieve
   2. nd_factorial     the factorial quotient as (2d+1) R^2, where
                       R = (2d)_d/(d+1)! is one asserted division of a falling
                       factorial, its quotient far shorter than its divisor
@@ -75,8 +76,11 @@ def _require_positive(d: int) -> None:
         raise ValueError(f"d must be a positive integer, got {d}")
 
 
+@lru_cache(maxsize=32, typed=True)
 def nd_closed(d: int) -> int:
-    """(2d + 1) * C(d)^2."""
+    """(2d + 1) * C(d)^2.  The process keeps the last 32 distinct d, about 16 D bytes for
+    d <= D (nd_closed.cache_info() counts the hits), so asym_flex, crossover and flex_report
+    after nd_closed(d) read one build of C(d); typed keeps nd_closed(5.0) a TypeError."""
     _require_positive(d)
     return (2 * d + 1) * catalan(d) ** 2
 

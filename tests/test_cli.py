@@ -436,6 +436,15 @@ def test_cli_import_loads_no_heavy_module():
 JSON_TEXT = st.text(alphabet='"\\\n aZ0é€\U0001f600', max_size=8)
 
 
+def json_table_value(header, rows):
+    """The value the json rows encode: one object per row, keyed by header;
+    booleans stay JSON booleans and every other value becomes a string."""
+    return [
+        {name: value if isinstance(value, bool) else str(value) for name, value in zip(header, row)}
+        for row in rows
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
@@ -449,4 +458,9 @@ def test_json_rows_match_json_dumps(table):
     header, rows = table
     with contextlib.redirect_stdout(io.StringIO()) as got:
         cli._render_rows(header, rows, "json")
-    assert got.getvalue() == json.dumps(cli._json_table_value(header, rows), indent=2) + "\n"
+    assert got.getvalue() == json.dumps(json_table_value(header, rows), indent=2) + "\n"
+    # padded, as crossover nests its rows one level down
+    with contextlib.redirect_stdout(io.StringIO()) as got:
+        cli._write_json_rows(header, rows, "  ")
+    nested = json.dumps({"rows": json_table_value(header, rows)}, indent=2)
+    assert '{\n  "rows": ' + got.getvalue() + "\n}" == nested

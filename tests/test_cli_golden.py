@@ -44,6 +44,8 @@ STDOUT = [
     ("crossover --max-d 12", 0, "0eae7a10a3f73369"),
     ("crossover --max-d 12 --format csv", 0, "bdc57cc5b374cea7"),
     ("crossover --max-d 12 --format json", 0, "beefef9a2b1f875d"),
+    # 300 rows, written one at a time: pinned from the output of one json.dumps
+    ("crossover --max-d 300 --format json", 0, "893647bf37f0d07b"),
     ("asym -d 40 --kind flex", 0, "5832f8e33f82f205"),
     ("asym -d 40 --kind yz --format csv", 0, "932fa370c7d27d2a"),
     ("asym -d 40 --kind both --format json", 0, "0290773edbff8844"),

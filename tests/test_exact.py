@@ -187,6 +187,47 @@ def test_central_binomial_by_primes_matches_comb():
         assert _central_binomial(d) == comb(2 * d, d), d
 
 
+@pytest.fixture
+def cold_table(monkeypatch):
+    """Start from an empty prime table, whatever ran before."""
+    monkeypatch.setattr(exact, "_odd_primes", bytearray())
+
+
+def test_kept_table_matches_comb_rising_and_falling(cold_table):
+    tables = []
+    for d in range(512, 2049):  # rising: the table grows by at least a quarter each time
+        assert _central_binomial(d) == comb(2 * d, d), d
+        if not tables or exact._odd_primes is not tables[-1]:
+            tables.append(exact._odd_primes)
+    assert len(tables) == 8  # sieved at 512, then 1.25 times the length before, 7 times
+    exact._odd_primes = bytearray()
+    for d in range(1500, -1, -1):  # falling: one table from the first d on
+        assert _central_binomial(d) == comb(2 * d, d), d
+    assert len(exact._odd_primes) == 1500
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 20])
+@pytest.mark.parametrize("held", [0, 700])
+def test_interrupted_table_growth_leaves_later_results_correct(cold_table, monkeypatch, m, held):
+    _central_binomial(held)
+    before = exact._odd_primes
+    calls = []
+
+    def failing_bytes(size):  # the sieve's strike-out of one prime's multiples
+        calls.append(size)
+        if len(calls) == m:
+            raise KeyboardInterrupt
+        return bytes(size)
+
+    monkeypatch.setattr(exact, "bytes", failing_bytes, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        _central_binomial(3000)
+    assert exact._odd_primes is before
+    monkeypatch.delattr(exact, "bytes")
+    later = (3000, 12, held, 4000, 1)
+    assert [_central_binomial(d) for d in later] == [comb(2 * d, d) for d in later]
+
+
 def test_catalan_takes_the_prime_route_from_the_cutoff(monkeypatch):
     calls = []
     monkeypatch.setattr(exact, "_central_binomial", lambda d: calls.append(d) or comb(2 * d, d))

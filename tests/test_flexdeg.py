@@ -242,6 +242,48 @@ def test_parity_and_positivity():
         assert (n % 2 == 1) == (d & (d + 1) == 0)
 
 
+@pytest.fixture
+def route_1_calls(monkeypatch):
+    """flexdeg.catalan's arguments, on a cold nd_closed memo.  The memo is
+    cleared again afterwards: values made under a patch must not outlive it."""
+    calls = []
+    monkeypatch.setattr(flexdeg, "catalan", lambda d: calls.append(d) or catalan(d))
+    nd_closed.cache_clear()
+    yield calls
+    nd_closed.cache_clear()
+
+
+def test_asym_flex_after_nd_closed_reads_one_build(route_1_calls):
+    from flexk3.qseries import asym_flex, crossover
+
+    assert nd_closed(1200) == (2 * 1200 + 1) * (comb(2400, 1200) // 1201) ** 2
+    assert asym_flex(1200).d == 1200
+    assert flex_report(1200).agree
+    assert crossover(1200).rows[-1].n_d == nd_closed(1200)
+    assert route_1_calls == [1200]
+    assert nd_closed.cache_info().hits == 4
+
+
+def test_memo_keeps_the_documented_bound(route_1_calls):
+    bound = nd_closed.cache_info().maxsize
+    assert bound == 32 and f"the last {bound} distinct d" in nd_closed.__doc__
+    values = [nd_closed(d) for d in range(1, bound + 2)]  # one more distinct d than it holds
+    assert route_1_calls == list(range(1, bound + 2))
+    assert nd_closed(bound + 1) == values[-1] and nd_closed(2) == values[1]
+    assert route_1_calls == list(range(1, bound + 2))  # both still held
+    assert nd_closed(1) == values[0]  # the oldest was dropped: built again
+    assert route_1_calls == [*range(1, bound + 2), 1]
+
+
+def test_memo_keeps_int_and_float_apart():
+    # 5.0 == 5 with one hash: an untyped memo would answer d=5.0 from d=5
+    assert nd_closed(5) == nd_closed(d=5) == 19404
+    with pytest.raises(TypeError):
+        nd_closed(5.0)
+    with pytest.raises(TypeError):
+        nd_closed(d=5.0)
+
+
 def pieri_walk(d: int, n: int) -> int:
     """Integral of sigma1^(2d-2n) * sigma2^n, one Pieri step at a time from s_(0,0)."""
     terms = {(0, 0): 1}

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import pickle
+import pkgutil
 import types
+import typing
 
 import pytest
 
 import flexk3
+import flexk3.cli
 from flexk3 import flexdeg, qseries
 
 
@@ -85,3 +89,25 @@ def test_record_contract(record, module, fields, summary, make):
     assert changed[0] is None and changed[1:] == value[1:]
     assert value == tuple(value) and tuple(value) == value
     assert record(*value) == value
+
+
+def package_functions():
+    """(module name, name, function) for every function a flexk3 module defines,
+    memoized ones included."""
+    found = []
+    for info in pkgutil.iter_modules(flexk3.__path__):
+        module = importlib.import_module(f"flexk3.{info.name}")
+        for name, value in vars(module).items():
+            if callable(value) and not isinstance(value, type):
+                if getattr(value, "__module__", None) == module.__name__:
+                    found.append((module.__name__, name, value))
+    return found
+
+
+def test_every_annotation_resolves():
+    # annotations stay strings at run time; each must resolve in its own module
+    functions = package_functions()
+    assert ("flexk3.cli", "_fail", flexk3.cli._fail) in functions
+    assert ("flexk3.flexdeg", "nd_closed", flexdeg.nd_closed) in functions
+    for *_, function in functions:
+        typing.get_type_hints(function)
