@@ -55,17 +55,21 @@ def _print_text_table(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
 def _csv_field(value: object) -> str:
     """_cell(value), quoted by RFC 4180 as csv.writer does, except that
     3.10-3.12's csv.writer leaves a lone '\\r' unquoted (no CLI cell holds one)."""
-    if type(value) is int:  # never quoted; a bool is not one, _cell spells it true or false
-        return str(value)
     text = _cell(value)
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
+@functools.lru_cache(maxsize=16)  # the CLI prints ten headers
+def _csv_header(header: tuple[str, ...]) -> str:
+    return ",".join(map(_csv_field, header)) + "\n"
+
+
 def _print_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    sys.stdout.write(",".join(map(_csv_field, header)) + "\n")
-    sys.stdout.writelines(",".join(map(_csv_field, row)) + "\n" for row in rows)
+    sys.stdout.write(_csv_header(header))  # an int cell is never quoted; a bool is no int
+    sys.stdout.writelines(
+        ",".join([str(v) if type(v) is int else _csv_field(v) for v in row]) + "\n" for row in rows)
 
 
 def _write_json_rows(header: tuple[str, ...], rows: Iterable[tuple], pad: str = "") -> None:
@@ -280,6 +284,7 @@ def cmd_selftest(args: SimpleNamespace) -> int:
 # holds the choices and an int is the least integer allowed; default None makes the
 # option required.  "-h/--help" is one option under two names.
 _HELP = ("-h/--help", "help", None, False, "show this help message and exit")
+_SUMMARY = "Exact flex-divisor multiples of polarized K3 surfaces, cross-checked five ways."
 _TOP = (_HELP, ("--debug", "debug", None, False,
                 "re-raise internal failures with their traceback instead of exiting 1"))
 _FORMAT = ("--format", "format", ("text", "csv", "json"), "text", "output format")
@@ -332,13 +337,13 @@ def _help(prog: str, summary: str, options: tuple) -> None:  # never returns: ra
 
 
 def _classify(arg: str, flags: dict, fail: Callable[[str], None]) -> tuple | None:
-    """How one argument reads: None for a positional, ("", None) for an unknown
-    option, else (flag, the value given in the same argument or None)."""
+    """How one argument reads against flags, the same every time: None for a positional,
+    ("", None) for an unknown option, else (its option, the value given with it or None)."""
     if arg[:1] != "-" or arg == "-":
         return None
     name, eq, value = arg.partition("=")
     if arg in flags or eq and name in flags:
-        return (arg, None) if arg in flags else (name, value)
+        return (flags[arg], None) if arg in flags else (flags[name], value)
     if arg[1] == "-":  # a prefix of long flags, perhaps with =value
         hits, value = [flag for flag in flags if flag.startswith(name)], value if eq else None
     else:  # -dN
@@ -346,34 +351,44 @@ def _classify(arg: str, flags: dict, fail: Callable[[str], None]) -> tuple | Non
     if len(hits) > 1:
         fail(f"ambiguous option: {arg} could match {', '.join(hits)}")
     if hits:
-        return hits[0], value
+        return flags[hits[0]], value
     # argparse's negative number ^-\d+$|^-\d*\.\d+$ (\d is isdecimal, $ passes one "\n")
     head, dot, tail = arg[1:].removesuffix("\n").partition(".")
     return None if (head + tail).isdecimal() and (tail or not dot) or " " in arg else ("", None)
 
 
-def _read(prog: str, summary: str, options: tuple, argv: list, args: dict, extras: list) -> list:
-    """Read argv's options into args, putting the arguments no option takes on
-    extras, and check the required ones.  The top level stops at its first
-    positional, the subcommand, and returns it with the arguments after it."""
-    fail = functools.partial(_fail, prog, options)
-    flags = {name: option for option in options for name in option[0].split("/")}
-    # Every argument is sorted into option or positional before any is read, so an
-    # ambiguous prefix fails ahead of any other error; the top level stops early.
-    kinds = (_classify(arg, flags, fail) for arg in argv)
-    words = zip(argv, kinds if options is _TOP else list(kinds))
+@functools.cache
+def _table(command: str) -> tuple:
+    """The parse table of a command, or of the top level for "" (command "", func None)."""
+    summary, func, own = COMMANDS[command] if command else (_SUMMARY, None, ())
+    options = (_HELP, _FORMAT, *own) if command else _TOP
+    defaults = {"command": command, "func": func} | {option[1]: option[3] for option in options[1:]}
+    required = [option[:2] for option in options if option[3] is None]  # (flag, dest) pairs
+    fail = functools.partial(_fail, prog := f"flexk3 {command}".rstrip(), options)
+    flags = {name: option for option in options for name in option[0].split("/")}  # aliases split
+    classify = functools.lru_cache(64)(lambda arg: _classify(arg, flags, fail))
+    return defaults, required, classify, fail, functools.partial(_help, prog, summary, options)
+
+
+def _read(command: str, argv: list, args: dict, extras: list) -> list:
+    """Read argv into args and extras by command's table.  A subcommand sorts every argument
+    before it reads any, so an ambiguous prefix fails first; the top level ("") stops at the
+    subcommand and returns argv from there on."""
+    defaults, required, classify, fail, show_help = _table(command)
+    args.update(defaults)
+    words = zip(argv, list(map(classify, argv)) if command else map(classify, argv))
     for i, (arg, kind) in enumerate(words):
-        if kind is None and options is _TOP:  # no top-level option takes a value
+        if kind is None and not command:  # no top-level option takes a value
             return argv[i:]
         if not kind or not kind[0]:
             extras.append(arg)
             continue
-        (flag, dest, rule, _, _), value = flags[kind[0]], kind[1]
+        (flag, dest, rule, _, _), value = kind
         if rule is None:
             if value is not None:
                 fail(f"argument {flag}: ignored explicit argument {value!r}")
             if flag == _HELP[0]:
-                _help(prog, summary, options)
+                show_help()
             value = True
         elif value is None:
             value, kind = next(words, (None, ""))
@@ -391,8 +406,7 @@ def _read(prog: str, summary: str, options: tuple, argv: list, args: dict, extra
                 need = "must be a positive integer" if rule else "must be nonnegative"
                 fail(f"argument {flag}: {need}, got {value}")
         args[dest] = value
-    missing = [option[0] for option in options if option[3] is None and args[option[1]] is None]
-    if missing:
+    if missing := [flag for flag, dest in required if args[dest] is None]:
         fail("the following arguments are required: " + ", ".join(missing))
     return []
 
@@ -400,18 +414,14 @@ def _read(prog: str, summary: str, options: tuple, argv: list, args: dict, extra
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """argv read by COMMANDS: -h and --debug, then a subcommand and its options.
     A usage error prints the usage line and the error, and exits 2."""
-    args, extras = {"debug": False}, []
-    summary = "Exact flex-divisor multiples of polarized K3 surfaces, cross-checked five ways."
-    rest = _read("flexk3", summary, _TOP, argv, args, extras)
+    args, extras = {}, []
+    rest = _read("", argv, args, extras)
     if not rest:
         _fail("flexk3", _TOP, "the following arguments are required: command")
     if rest[0] not in COMMANDS:
         message = f"invalid choice: {rest[0]!r} (choose from {', '.join(map(repr, COMMANDS))})"
         _fail("flexk3", _TOP, f"argument command: {message}")
-    summary, func, own = COMMANDS[rest[0]]
-    options = (_HELP, _FORMAT, *own)
-    args.update({option[1]: option[3] for option in options[1:]}, command=rest[0], func=func)
-    _read(f"flexk3 {rest[0]}", summary, options, rest[1:], args, extras)
+    _read(rest[0], rest[1:], args, extras)
     if extras:
         _fail("flexk3", _TOP, "unrecognized arguments: " + " ".join(extras))
     return SimpleNamespace(**args)

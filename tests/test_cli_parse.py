@@ -167,3 +167,73 @@ def test_help_lists_every_option(capsys, name):
         if isinstance(rule, tuple):
             assert "{" + ",".join(rule) + "}" in line
         assert ("(required)" if default is None else f"(default: {default})") in line
+
+
+# One valid argv per subcommand, for the table tests below.
+VALID = {
+    "nd": ["nd", "-d", "3"],
+    "table": ["table", "--from", "2", "--to", "3", "--format", "csv"],
+    "yz": ["yz", "--max-n", "5"],
+    "crossover": ["crossover", "--max-d", "4"],
+    "asym": ["asym", "-d", "2", "--kind", "yz"],
+    "selftest": ["selftest", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", ["", *cli.COMMANDS])
+def test_table_spells_out_commands(command):
+    """Each table reads every flag and "/" alias as its COMMANDS option, and holds the
+    defaults and required (flag, dest) pairs that COMMANDS gives it."""
+    if command:
+        _, func, own = cli.COMMANDS[command]
+        options = (cli._HELP, cli._FORMAT, *own)
+    else:
+        func, options = None, cli._TOP
+    defaults, required, classify, _, _ = cli._table(command)
+    for option in options:
+        for name in option[0].split("/"):
+            assert classify(name) == (option, None), name
+    assert defaults == {"command": command, "func": func, **{o[1]: o[3] for o in options[1:]}}
+    assert required == [(flag, dest) for flag, dest, _, default, _ in options if default is None]
+
+
+def test_tables_built_once_per_command():
+    cli._table.cache_clear()
+    for argv in VALID.values():
+        for _ in range(100):
+            cli.parse_args(list(argv))
+    info = cli._table.cache_info()
+    # one build for the top level and one for each subcommand, however many parses
+    assert info.misses == len(cli.COMMANDS) + 1
+    assert info.hits + info.misses == 2 * 100 * len(VALID)
+
+
+def test_parses_return_independent_namespaces():
+    first, second = cli.parse_args(VALID["table"]), cli.parse_args(VALID["table"])
+    assert first == second and first is not second
+    first.d_from, first.format = 99, "json"
+    assert (second.d_from, second.format) == (2, "csv")
+    assert cli._table("table")[0]["d_from"] is None
+    assert cli.parse_args(VALID["table"]) == second
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv().filter(lambda words: "selftest" not in words))
+@example(["table", "--from", "9", "--to", "3", "--format", "json"])
+@example(["--debug", "crossover", "--max-d", "40", "--format", "csv"])
+def test_main_exits_cleanly(args):
+    """cli.main over generated argv, every subcommand but selftest and every format, all
+    integers at most 40: exit 0 with nothing on stderr, or exit 2 with a usage error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith("flexk3") and ": error: " in last, last
