@@ -195,19 +195,16 @@ def _check_five_way() -> None:
 
 def _check_pieri_integral() -> None:
     """Pieri walks match the ballot numbers and the closed-form integrals for d <= 12."""
+    # sigma1^k has the ballot number C(k, b) - C(k, b-1) on s_(k-b, b); a box
+    # d only reads the coefficients with k - b <= d, so one walk serves every d
+    x = [1]
+    for k in range(1, 25):
+        x = _sigma1_step(x, k - 1)
+        want = [comb(k, b) - comb(k, b - 1) if b else 1 for b in range(k // 2 + 1)]
+        if x != want:
+            raise AssertionError(f"sigma1^{k} is {x}, expected {want}")
+    walked = _sigma1_column(12)  # route 5's integrals of sigma1^(2j) sigma2^(d-j)
     for d in range(1, 13):
-        # sigma1^k has the ballot number C(k, b) - C(k, b-1) on s_(k-b, b),
-        # and 0 where the first row k - b leaves the box.
-        x = [1]
-        for k in range(1, 2 * d + 1):
-            x = _sigma1_step(x, k - 1, d)
-            want = [
-                (comb(k, b) - comb(k, b - 1) if b else 1) if k - b <= d else 0
-                for b in range(k // 2 + 1)
-            ]
-            if x != want:
-                raise AssertionError(f"d={d}: sigma1^{k} is {x}, expected {want}")
-        walked = _sigma1_column(d)  # route 5's integrals of sigma1^(2j) sigma2^(d-j)
         for n in range(d + 1):
             m = 2 * d - 2 * n
             want = monomial_integral(m, n, d)

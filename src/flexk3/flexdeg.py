@@ -38,6 +38,7 @@ coefficients (one binomial, then d-1 ratio steps), but integrate
 independently: route 4 against a Catalan column (one closed-form
 integral, then d ratio steps), route 5 off one kept schubert._sigma1_step
 walk from s_(0,0), 2D steps over d = 1..D (nd_chern_schubert says why).
+The step has no box; the box d only picks which coefficient is read.
 The sign of the double sum is not trusted a priori: it is calibrated once
 against the literals n_1..n_5 = 3, 20, 175, 1764, 19404 and must be consistent
 across them, otherwise an ArithmeticError flags the build as broken.
@@ -176,7 +177,8 @@ def nd_chern_monomial(d: int) -> int:
     n_d = - integral of sigma1 * c_(2d-1), the coefficient c_n of s1^(2d-1-2n)
     s2^n contributing c_n times the integral of s1^(2d-2n) s2^n, C(d-n): C(d)
     = monomial_integral(2d, 0, d), stepped by C(h-1) = C(h) (h+1)/(2(2h-1)),
-    exact divisions that must end at C(0) = 1, else ArithmeticError.
+    exact divisions that must end at C(0) = 1, else ArithmeticError.  The start
+    is nd_factorial's root by the same call, as both are C(d) by design.
     """
     _require_positive(d)
     integral = monomial_integral(2 * d, 0, d)
@@ -196,8 +198,8 @@ def nd_chern_schubert(d: int) -> int:
     the coefficient of s_(j,j) in sigma1^(2j): a Pieri path from
     sigma2^(d-j) = s_(d-j,d-j) to s_(d,d) never leaves the box (its first row
     only grows, to d) and is one from s_(0,0) to s_(j,j) moved d-j columns.
-    One walk kept by the process gives them: 2d sigma1 steps cold, and 2D,
-    O(D^2) additions, over d = 1..D, where a sweep per d made O(D^3).
+    So one unboxed walk, kept by the process, gives them: 2d sigma1 steps cold,
+    and 2D, O(D^2) additions, over d = 1..D, where a sweep per d made O(D^3).
     """
     _require_positive(d)
     return -sum(map(mul, chern_total(d), _sigma1_column(d)[d:0:-1]))

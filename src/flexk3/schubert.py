@@ -22,16 +22,17 @@ The integral of a pure monomial sigma1^m * sigma2^n of top degree
 number; monomial_integral implements it.
 
 A class of degree k is one graded piece, kept as a plain list x of
-length k//2 + 1: x[b] is the coefficient of s_(k-b, b), and x[b] is 0
-where k - b > d.  So sigma2^n = s_(n,n) is [0] * n + [1] in degree 2n,
-and after degree 2d the integral is x[d].  _sigma1_step applies the
-sigma1 Pieri rule to one such piece; _sigma1_column walks it from s_(0,0),
-an independent route to the monomial integrals.
+length k//2 + 1: x[b] is the coefficient of s_(k-b, b).  _sigma1_step
+applies the sigma1 Pieri rule to one piece with no box: a first row only
+grows, so the box only picks which coefficients are read (in the box d,
+x[b] where k - b <= d; after degree 2d the integral is x[d]).
+_sigma1_column walks it from s_(0,0), an independent route to the
+monomial integrals.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, perm
 from operator import add
 
 from .exact import _exact_div_short
@@ -42,6 +43,8 @@ def monomial_integral(m: int, n: int, d: int) -> int:
 
     Requires top degree m + 2n = 2d; the value is
     m! / ((m/2)! (m/2 + 1)!) and m is forced even by the degree constraint.
+    It is the falling factorial perm(m, m/2) = m!/(m/2)! over (m/2 + 1)!, one
+    division at the size of its quotient: nd_factorial's root, as both are C(m/2).
     """
     if d < 1:
         raise ValueError(f"box size must be positive, got {d}")
@@ -50,26 +53,20 @@ def monomial_integral(m: int, n: int, d: int) -> int:
     if m + 2 * n != 2 * d:
         raise ValueError(f"degree {m} + 2*{n} != 2*{d}, not a top-degree monomial")
     h = m // 2
-    return _exact_div_short(factorial(m), factorial(h) * factorial(h + 1))
+    return _exact_div_short(perm(m, h), factorial(h + 1))
 
 
 # Private: bench/tracer.py spans public functions, and d = 1..D walk 2D steps.
-def _sigma1_step(x: list[int], k: int, d: int) -> list[int]:
+def _sigma1_step(x: list[int], k: int) -> list[int]:
     """sigma1 * sum_b x[b] * s_(k-b, b), returned the same way in degree k + 1.
 
-    x holds one graded piece of the 2 x d box: x[b] is the coefficient of
-    s_(k-b, b) for b = 0..k//2, and is 0 where k - b > d.  Pieri adds a box
-    to the first row while k - b < d (clipped at the box) and to the second
-    row while b < k - b.
+    x[b] is the coefficient of s_(k-b, b) for b = 0..k//2, with no box: Pieri
+    adds a box to the first row always and to the second row while b < k - b.
     """
-    # y[b] = x[b] (first row, while k - b < d) + x[b - 1] (second row).  up
-    # holds the first-row terms of b >= 1, and a 0 for the square s_(m, m) that
-    # an odd k = 2m - 1 gains; map stops at b = (k + 1) // 2, so for even k the
-    # square x[k // 2] gets no second-row box.
-    up = x[1:] if k < d else [0] * (k - d) + x[k + 1 - d :]
-    if k & 1:
-        up.append(0)
-    return [x[0] if k < d else 0, *map(add, up, x)]
+    # y[b] = x[b] (first row) + x[b - 1] (second row), a 0 standing for x[m] at the
+    # square s_(m, m) an odd k = 2m - 1 reaches; map stops at b = (k + 1) // 2,
+    # so for even k the square x[k // 2] gets no second-row box.
+    return [x[0], *map(add, x[1:] + [0] if k & 1 else x[1:], x)]
 
 
 _walk: tuple[list[int], tuple[int, ...]] = ([1], (1,))  # last piece (degree 2J), column[: J + 1]
@@ -77,16 +74,16 @@ _walk: tuple[list[int], tuple[int, ...]] = ([1], (1,))  # last piece (degree 2J)
 
 def _sigma1_column(D: int) -> tuple[int, ...]:
     """Coefficients of s_(j,j) in sigma1^(2j), j = 0..D, off the process's walk from
-    s_(0,0).  A longer request extends its last piece two steps per j (box 2j never
-    clips) and replaces it in one assignment, so an interrupt leaves it valid.  The
-    walk is never released: its piece and column, 2D + 2 integers of up to 2D bits,
-    hold 1.45 MB under tracemalloc at D = 2000 and 5.5 MB at D = 4000."""
+    s_(0,0).  A longer request extends its last piece two steps per j and replaces it
+    in one assignment, so an interrupt leaves it valid.  The walk is never released:
+    its piece and column, 2D + 2 integers of up to 2D bits, hold 1.45 MB under
+    tracemalloc at D = 2000 and 5.5 MB at D = 4000."""
     global _walk
     piece, column = _walk
     if D >= len(column):
         column = list(column)
         for j in range(len(column), D + 1):
-            piece = _sigma1_step(_sigma1_step(piece, 2 * j - 2, 2 * j), 2 * j - 1, 2 * j)
+            piece = _sigma1_step(_sigma1_step(piece, 2 * j - 2), 2 * j - 1)
             column.append(piece[-1])
         _walk = piece, tuple(column)
     return _walk[1][: D + 1]

@@ -28,3 +28,18 @@ def pieri_sigma1(terms: dict[tuple[int, int], int], d: int) -> dict[tuple[int, i
 def mul_sigma2(terms: dict[tuple[int, int], int], d: int) -> dict[tuple[int, int], int]:
     """sigma2 * s_(a,b) = s_(a+1,b+1), dropping diagrams outside the box."""
     return _collect(((a + 1, b + 1), coef) for (a, b), coef in terms.items() if a < d)
+
+
+def iterate(box: int, n_sigma2: int, m_sigma1: int) -> dict[tuple[int, int], int]:
+    """Apply sigma2 n times, then sigma1 m times, to s_(0,0)."""
+    terms = {(0, 0): 1}
+    for _ in range(n_sigma2):
+        terms = mul_sigma2(terms, box)
+    for _ in range(m_sigma1):
+        terms = pieri_sigma1(terms, box)
+    return terms
+
+
+def integrate(terms: dict[tuple[int, int], int], box: int) -> int:
+    """Coefficient of the top class s_(d,d)."""
+    return terms.get((box, box), 0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_reference import mul_sigma2, pieri_sigma1
+from schubert_reference import integrate, iterate, pieri_sigma1
 
 from flexk3 import cli, exact, flexdeg, schubert
 from flexk3.exact import _exact_div_short, catalan, exact_div
@@ -284,16 +284,6 @@ def test_memo_keeps_int_and_float_apart():
         nd_closed(d=5.0)
 
 
-def pieri_walk(d: int, n: int) -> int:
-    """Integral of sigma1^(2d-2n) * sigma2^n, one Pieri step at a time from s_(0,0)."""
-    terms = {(0, 0): 1}
-    for _ in range(n):
-        terms = mul_sigma2(terms, d)
-    for _ in range(2 * d - 2 * n):
-        terms = pieri_sigma1(terms, d)
-    return terms.get((d, d), 0)
-
-
 @pytest.fixture
 def empty_walk(monkeypatch):
     """Start from a fresh sigma1 walk, s_(0,0) alone, whatever ran before."""
@@ -307,7 +297,7 @@ def test_sigma1_column_matches_pieri_walks(empty_walk):
         column = _sigma1_column(d)
         assert len(column) == d + 1
         for n in range(d):
-            assert column[d - n] == pieri_walk(d, n), (d, n)
+            assert column[d - n] == integrate(iterate(d, n, 2 * d - 2 * n), d), (d, n)
 
 
 def test_chern_schubert_in_any_order(empty_walk):
@@ -319,9 +309,9 @@ def test_chern_schubert_in_any_order(empty_walk):
 def test_rising_run_walks_two_steps_per_d(empty_walk, monkeypatch):
     calls = []
 
-    def counting_step(x, k, d):
+    def counting_step(x, k):
         calls.append(k)
-        return _sigma1_step(x, k, d)
+        return _sigma1_step(x, k)
 
     monkeypatch.setattr(schubert, "_sigma1_step", counting_step)
     D = 30
@@ -337,11 +327,11 @@ def test_rising_run_walks_two_steps_per_d(empty_walk, monkeypatch):
 def test_interrupted_walk_leaves_later_results_correct(empty_walk, monkeypatch, m):
     calls = []
 
-    def failing_step(x, k, d):
+    def failing_step(x, k):
         calls.append(k)
         if len(calls) == m:
             raise KeyboardInterrupt
-        return _sigma1_step(x, k, d)
+        return _sigma1_step(x, k)
 
     monkeypatch.setattr(schubert, "_sigma1_step", failing_step)
     with pytest.raises(KeyboardInterrupt):
@@ -352,15 +342,33 @@ def test_interrupted_walk_leaves_later_results_correct(empty_walk, monkeypatch, 
 
 def test_sigma1_step_matches_pieri_exhaustively():
     rng = random.Random(4)
-    for d in range(1, 9):
-        for k in range(2 * d):
-            for _ in range(5):
-                # random degree-k piece, zero outside the box (k - b > d)
-                x = [rng.randint(-10**6, 10**6) if k - b <= d else 0 for b in range(k // 2 + 1)]
-                want = pieri_sigma1({(k - b, b): c for b, c in enumerate(x) if k - b <= d}, d)
-                got = _sigma1_step(x, k, d)
-                assert len(got) == (k + 1) // 2 + 1
-                assert got == [want.get((k + 1 - b, b), 0) for b in range(len(got))], (d, k, x)
+    for k in range(16):
+        for _ in range(20):
+            # random degree-k piece; the reference's box k + 1 clips nothing
+            x = [rng.randint(-10**6, 10**6) for _ in range(k // 2 + 1)]
+            want = pieri_sigma1({(k - b, b): c for b, c in enumerate(x)}, k + 1)
+            got = _sigma1_step(x, k)
+            assert len(got) == (k + 1) // 2 + 1
+            assert got == [want.get((k + 1 - b, b), 0) for b in range(len(got))], (k, x)
+
+
+def refuse(*args):
+    raise AssertionError("a route read the other Chern route's integrals")
+
+
+@pytest.mark.parametrize("d", [7, 600])
+def test_route_4_walks_no_pieri_step(monkeypatch, d):
+    # routes 4 and 5 share chern_total only: the Catalan column reads no walk
+    monkeypatch.setattr(schubert, "_sigma1_step", refuse)
+    monkeypatch.setattr(schubert, "_sigma1_column", refuse)
+    monkeypatch.setattr(flexdeg, "_sigma1_column", refuse)
+    assert nd_chern_monomial(d) == (2 * d + 1) * (comb(2 * d, d) // (d + 1)) ** 2
+
+
+@pytest.mark.parametrize("d", [7, 600])
+def test_route_5_reads_no_closed_form_integral(empty_walk, monkeypatch, d):
+    monkeypatch.setattr(flexdeg, "monomial_integral", refuse)
+    assert nd_chern_schubert(d) == (2 * d + 1) * (comb(2 * d, d) // (d + 1)) ** 2
 
 
 @pytest.mark.parametrize("d", [60, 100, 200, 400, 1000])

@@ -3,34 +3,20 @@
 from __future__ import annotations
 
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_reference import mul_sigma2, pieri_sigma1
+from schubert_reference import integrate, iterate, mul_sigma2, pieri_sigma1
 
-from flexk3.exact import catalan
+from flexk3.exact import SHORT_DIV_MIN_BITS, catalan
 from flexk3.schubert import _sigma1_step, monomial_integral
 
 
 def s(a: int, b: int) -> dict[tuple[int, int], int]:
     return {(a, b): 1}
-
-
-def iterate(box: int, n_sigma2: int, m_sigma1: int) -> dict[tuple[int, int], int]:
-    """Apply sigma2 n times, then sigma1 m times, to s_(0,0)."""
-    terms = s(0, 0)
-    for _ in range(n_sigma2):
-        terms = mul_sigma2(terms, box)
-    for _ in range(m_sigma1):
-        terms = pieri_sigma1(terms, box)
-    return terms
-
-
-def integrate(terms: dict[tuple[int, int], int], box: int) -> int:
-    """Coefficient of the top class s_(d,d)."""
-    return terms.get((box, box), 0)
 
 
 def test_pieri_sigma1_clips_to_box():
@@ -85,6 +71,10 @@ def test_monomial_integral_values():
     for d in range(1, 9):
         assert monomial_integral(0, d, d) == 1
         assert monomial_integral(2 * d, 0, d) == catalan(d)
+    for d in (300, 2000):  # (d+1)! past SHORT_DIV_MIN_BITS: the short division runs
+        assert factorial(d + 1).bit_length() >= SHORT_DIV_MIN_BITS
+        want = factorial(2 * d) // (factorial(d) * factorial(d + 1))
+        assert monomial_integral(2 * d, 0, d) == want
 
 
 def test_monomial_integral_rejects_bad_input():
@@ -132,17 +122,28 @@ def as_piece(terms: dict[tuple[int, int], int], k: int) -> list[int]:
 
 @st.composite
 def graded_pieces(draw):
-    """(d, k, x): a random integer piece of degree k < 2d - 1 in the 2 x d box."""
-    d = draw(st.integers(1, 10))
-    k = draw(st.integers(0, 2 * d - 2))
+    """(k, x): a random integer piece of degree k <= 18, with no box."""
+    k = draw(st.integers(0, 18))
     x = draw(st.lists(st.integers(-10**20, 10**20), min_size=k // 2 + 1, max_size=k // 2 + 1))
-    return d, k, [c if k - b <= d else 0 for b, c in enumerate(x)]
+    return k, x
 
 
 @settings(max_examples=200, deadline=None)
 @given(graded_pieces())
 def test_sigma1_step_commutes_with_sigma2(piece):
-    d, k, x = piece
-    sigma1_first = mul_sigma2(as_terms(_sigma1_step(x, k, d), k + 1), d)
-    sigma2_first = _sigma1_step(as_piece(mul_sigma2(as_terms(x, k), d), k + 2), k + 2, d)
+    k, x = piece
+    box = k + 2  # the reference clips nothing up to degree k + 3
+    sigma1_first = mul_sigma2(as_terms(_sigma1_step(x, k), k + 1), box)
+    sigma2_first = _sigma1_step(as_piece(mul_sigma2(as_terms(x, k), box), k + 2), k + 2)
     assert sigma1_first == as_terms(sigma2_first, k + 3)
+
+
+def test_box_only_picks_the_coefficients_read():
+    # sigma1^k in the 2 x d box is the unboxed piece with s_(k-b, b) dropped
+    # where k - b > d: a first row only grows, so nothing re-enters the box
+    for d in range(1, 9):
+        x = [1]
+        for k in range(2 * d + 2):
+            x = _sigma1_step(x, k)
+            boxed = {(k + 1 - b, b): c for b, c in enumerate(x) if k + 1 - b <= d}
+            assert iterate(d, 0, k + 1) == boxed, (d, k)
