@@ -9,7 +9,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flexk3 import exact
+from flexk3 import exact, flexdeg, qseries, truncpoly
 from flexk3.exact import (
     PRIME_ROUTE_MIN_D,
     SHORT_DIV_MIN_BITS,
@@ -252,3 +252,27 @@ def test_catalan_matches_comb(d):
 def test_closed_form_matches_comb_at_d_20000():
     d = 20000
     assert nd_closed(d) == (2 * d + 1) * (comb(2 * d, d) // (d + 1)) ** 2
+
+
+@pytest.mark.skipif(sys.int_info.bits_per_digit != 30, reason="the bound is one 30-bit digit")
+def test_ratio_walks_divide_by_one_digit(monkeypatch):
+    # README's cost model: each ratio walk divides an O(d)-bit integer by a
+    # small one, below 2^30, so CPython takes its single-digit division path
+    divisors = []
+
+    def recording(a, b):
+        divisors.append(b)
+        return exact_div(a, b)
+
+    for module in (truncpoly, flexdeg, qseries):
+        monkeypatch.setattr(module, "exact_div", recording)
+    monkeypatch.setattr(qseries, "_longest", ())
+    truncpoly.chern_total.cache_clear()
+    d = 2000
+    truncpoly.chern_total(d)
+    flexdeg.nd_double_sum(d)
+    flexdeg.nd_chern_monomial(d)
+    qseries.crossover(d)  # and the series to q^(d + 1) it builds
+    qseries.euler_power_neg24_by_product(400)
+    assert len(divisors) > 4 * d
+    assert max(map(abs, divisors)) < 2**30, max(map(abs, divisors)).bit_length()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexk3.flexdeg import cross_check, nd_chern_monomial
 from flexk3.schubert import monomial_integral
@@ -68,12 +69,21 @@ def test_chern_total_matches_dense_oracle():
         assert chern_total(d) == tuple(row)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 10, 57, 200, 1000, 2000])
-def test_chern_total_steps_equal_two_binomial_form(d):
-    reference = tuple(
+def two_binomial_form(d):
+    return tuple(
         (-1) ** (n + 1) * comb(n + d + 1, n) * comb(3 * d - n, 2 * d - 1 - 2 * n) for n in range(d)
     )
-    assert chern_total(d) == reference
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 57, 200, 1000, 2000])
+def test_chern_total_steps_equal_two_binomial_form(d):
+    assert chern_total(d) == two_binomial_form(d)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=800))
+def test_chern_total_equals_two_binomial_form_for_any_d(d):
+    assert chern_total(d) == two_binomial_form(d)
 
 
 def test_minus_signs_cancel():
