@@ -22,8 +22,8 @@ for report in reports:
 
 print()
 print("The double sum, evaluated exactly as printed, lands on the negative")
-print("of the answer at every d; the package calibrates that global sign")
-print("once against the closed form and reports both values:")
+print("of the answer at every d; the package checks that sign once against")
+print("the literals n_1..n_5 and reports both values:")
 raw, resolved = nd_double_sum(6)
 print(f"  d=6: raw = {raw}, resolved = {resolved}")
 

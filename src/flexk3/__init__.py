@@ -27,7 +27,6 @@ from .qseries import (
     crossover,
     euler_power_neg24,
     euler_power_neg24_by_product,
-    log_int,
     yz_multiple,
 )
 from .schubert import monomial_integral
@@ -51,7 +50,6 @@ __all__ = [
     "euler_power_neg24_by_product",
     "exact_div",
     "flex_report",
-    "log_int",
     "monomial_integral",
     "nd_chern_monomial",
     "nd_chern_schubert",

@@ -14,12 +14,12 @@ This module computes n_d five ways and cross-validates:
                       R = (2d)_d/(d+1)! is one asserted division of a falling
                       factorial, its quotient far shorter than its divisor
   3. nd_double_sum    an alternating double binomial sum; the printed
-                      formula evaluates to a consistent sign times n_d,
-                      so both the raw value and the sign-resolved value
-                      are reported.  Its inner sum over j has a closed
-                      form (Chu-Vandermonde), which leaves d terms that
-                      step by one ratio: one binomial, then per step one
-                      big-by-small product and one small exact division
+                      formula evaluates to -n_d, so both the raw value
+                      and the sign-resolved value are reported.  Its
+                      inner sum over j has a closed form (Chu-Vandermonde),
+                      which leaves d terms that step by one ratio: one
+                      binomial, then per step one big-by-small product
+                      and one small exact division
   4. nd_chern_monomial   intersection theory: expand the total Chern
                       class of the relevant tautological bundle, pair its
                       degree-(2d-1) part against sigma1; the monomial
@@ -39,9 +39,9 @@ independently: route 4 against a Catalan column (one closed-form
 integral, then d ratio steps), route 5 off one kept schubert._sigma1_step
 walk from s_(0,0), 2D steps over d = 1..D (nd_chern_schubert says why).
 The step has no box; the box d only picks which coefficient is read.
-The sign of the double sum is not trusted a priori: it is calibrated once
-against the literals n_1..n_5 = 3, 20, 175, 1764, 19404 and must be consistent
-across them, otherwise an ArithmeticError flags the build as broken.
+The printed double sum is -n_d.  Route 3 checks that sign once against the
+literals n_1..n_5 = 3, 20, 175, 1764, 19404 and then returns -raw; any other
+value at d = 1..5 raises ArithmeticError, flagging the build as broken.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ def _double_sum_raw(d: int) -> int:
 
         T(l+1) = T(l) (d-l)(2d+l+1) / (l (l+2)),
 
-    one product of the big term by a small factor and one small asserted
-    exact division: O(d^2) bit operations in all (0.03 s at d = 4000, 0.11 s
+    one product of the big term by a small factor and one asserted exact
+    division by l(l+2) <= d^2 - 1, below 2^30 (one CPython digit) for
+    d <= 32,768: O(d^2) bit operations in all (0.03 s at d = 4000, 0.11 s
     at d = 8000).  Stepping the three factors apart and multiplying them at
     every term cost O(d M(d)), M(d) one product of O(d)-bit integers (0.44 s
     and 2.9 s); the printed double sum costs O(d^2 M(d)).
@@ -143,25 +144,15 @@ def _double_sum_raw(d: int) -> int:
 
 @lru_cache(maxsize=1)
 def _double_sum_sign() -> int:
-    """Calibrate the overall sign of the double sum against n_1..n_5.
+    """Check once that the double sum gives -n_1..-n_5 = -3, -20, -175, -1764, -19404.
 
     The targets are literals, not a route, so a faulty route shows as a
-    disagreement whatever the call order; the sign must be the same for all five.
+    disagreement whatever the call order.
     """
-    signs = set()
-    for d, target in enumerate((3, 20, 175, 1764, 19404), 1):
-        raw = _double_sum_raw(d)
-        if raw == target:
-            signs.add(1)
-        elif raw == -target:
-            signs.add(-1)
-        else:
-            raise ArithmeticError(
-                f"double sum for d={d} gives {raw}, neither {target} nor {-target}"
-            )
-    if len(signs) != 1:
-        raise ArithmeticError(f"double sum sign is not consistent on d=1..5: {signs}")
-    return signs.pop()
+    raws = [_double_sum_raw(d) for d in range(1, 6)]
+    if raws != [-3, -20, -175, -1764, -19404]:
+        raise ArithmeticError(f"double sum for d=1..5 gives {raws}, not -n_1..-n_5")
+    return -1
 
 
 def nd_double_sum(d: int) -> tuple[int, int]:

@@ -41,8 +41,8 @@ multiples (crossover) and checks both against their growth models
     n_d   ~ 2^(4d+1) / (pi d^2)
     yz_d  ~ e^(4 pi sqrt(d)) / (sqrt(2) d^(27/4))
 
-using exact-integer logarithms, since the integers involved have far
-too many digits for float conversion.
+through math.log, which takes an int of any size: it splits off the
+binary exponent itself, so no float conversion of the integer overflows.
 """
 
 from __future__ import annotations
@@ -249,21 +249,6 @@ def yz_multiple(d: int) -> int:
     return euler_power_neg24(d + 1)[d + 1]
 
 
-def log_int(n: int) -> float:
-    """Natural log of a positive integer of any size.
-
-    Splits off the binary digit count and converts only the leading 53
-    bits, so huge integers never pass through a lossy float conversion.
-    Relative error is below 1e-12.
-    """
-    if n <= 0:
-        raise ValueError(f"log of non-positive integer {n}")
-    shift = n.bit_length() - 53
-    if shift <= 0:
-        return math.log(n)
-    return math.log(n >> shift) + shift * math.log(2)
-
-
 def flex_log_model(d: int) -> float:
     """ln of the flex growth model 2^(4d+1) / (pi d^2)."""
     return (4 * d + 1) * math.log(2) - math.log(math.pi) - 2 * math.log(d)
@@ -276,14 +261,14 @@ def yz_log_model(d: int) -> float:
 
 def asym_flex(d: int) -> AsymReport:
     """Compare ln n_d against the flex growth model."""
-    log_exact = log_int(nd_closed(d))
+    log_exact = math.log(nd_closed(d))
     log_model = flex_log_model(d)
     return AsymReport(d, log_exact, log_model, log_exact - log_model)
 
 
 def asym_yz(d: int) -> AsymReport:
     """Compare ln yz_d against the Yau-Zaslow growth model."""
-    log_exact = log_int(yz_multiple(d))
+    log_exact = math.log(yz_multiple(d))
     log_model = yz_log_model(d)
     return AsymReport(d, log_exact, log_model, log_exact - log_model)
 
@@ -292,7 +277,8 @@ def crossover(max_d: int) -> CrossoverReport:
     """Compare n_d against yz_d for d = 1..max_d.
 
     n_d steps from n_1 = 3 by n_{d+1} = n_d 4(2d+1)(2d+3) / (d+2)^2, an
-    asserted exact division, and n_max_d must equal nd_closed(max_d).  The
+    asserted exact division by at most (max_d+1)^2 < 2^30, one CPython
+    digit, for max_d <= 32,766; n_max_d must equal nd_closed(max_d).  The
     series comes from one euler_power_neg24 call: built to index max_d + 1
     (or further, when it extends a shorter series this process holds), or
     sliced from a longer one.  After the first d with n_d > yz_d the

@@ -89,8 +89,8 @@ def test_nd_dispatch_calls_the_patched_route(capsys, monkeypatch, method):
 
 
 def test_faulty_route_1_is_a_disagreement_in_any_call_order(capsys, monkeypatch):
-    # the double sum's sign calibrates against literals, so a faulty nd_closed
-    # read by a cold calibration does not fail route 3
+    # route 3 checks its sign against literals, not nd_closed, so a faulty
+    # nd_closed read by a cold check does not fail route 3
     flexdeg._double_sum_sign.cache_clear()
     route = flexdeg.nd_closed
     monkeypatch.setattr(flexdeg, "nd_closed", lambda d: route(d) + 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import repeat
 from math import comb, factorial, perm
 from operator import add, mul
@@ -44,6 +45,29 @@ def test_double_sum_raw_sign_discrepancy():
     raw, resolved = nd_double_sum(1)
     assert raw == -3
     assert resolved == 3
+
+
+@pytest.mark.parametrize(
+    "wrong, named",
+    [
+        (lambda d, raw: -raw, "[3, 20, 175, 1764, 19404]"),  # raw = +n_d at every d
+        (lambda d, raw: raw + (d == 3), "[-3, -20, -174, -1764, -19404]"),
+    ],
+    ids=["consistent-flip", "off-by-one-at-3"],
+)
+def test_double_sum_sign_check_fails_loudly(monkeypatch, wrong, named):
+    # raw must be -n_d at d = 1..5; any other values, a consistent flip included, raise
+    real = flexdeg._double_sum_raw
+    monkeypatch.setattr(flexdeg, "_double_sum_raw", lambda d: wrong(d, real(d)))
+    flexdeg._double_sum_sign.cache_clear()
+    with pytest.raises(ArithmeticError, match=re.escape(f"gives {named}, not -n_1..-n_5")):
+        nd_double_sum(3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 1500))
+def test_double_sum_is_minus_nd_and_resolves_to_nd(d):
+    assert nd_double_sum(d) == (-nd_closed(d), nd_closed(d))
 
 
 def double_sum_by_comb(d: int) -> int:

@@ -20,7 +20,6 @@ from flexk3.qseries import (
     divisor_sums,
     euler_power_neg24,
     euler_power_neg24_by_product,
-    log_int,
     yz_multiple,
 )
 
@@ -442,26 +441,18 @@ def test_crossover_column_checked_against_closed_form(monkeypatch):
         crossover(50)
 
 
-def test_log_int_moderate_values():
-    assert log_int(1) == 0.0
-    assert math.isclose(log_int(324), math.log(324), rel_tol=1e-12)
+def test_crossover_checks_its_permanence(monkeypatch):
+    # n_d first exceeds yz_d = a(d + 1) at d = 10; a(21) above n_20 flips it back
+    real = euler_power_neg24
 
+    def flipped(N):
+        series = list(real(N))
+        series[21] = nd_closed(20) + 1
+        return tuple(series)
 
-@given(st.integers(min_value=1, max_value=2**20000))
-@example(2**53 - 1)
-@example(2**53 + 1)
-@example(2**20000)
-def test_log_int_between_bit_length_bounds(n):
-    value = log_int(n)
-    bits = n.bit_length()
-    assert (bits - 1) * math.log(2) * (1 - 1e-12) <= value <= bits * math.log(2) * (1 + 1e-12)
-    assert math.isclose(value, math.log(n), rel_tol=1e-12)
-
-
-def test_log_int_huge_values():
-    assert math.isclose(log_int(10**5000), 5000 * math.log(10), rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        log_int(0)
+    monkeypatch.setattr(qseries, "euler_power_neg24", flipped)
+    with pytest.raises(ArithmeticError, match="not permanent: n_20 <= yz_20 after d=10"):
+        crossover(30)
 
 
 def test_asym_flex_report_fields():
