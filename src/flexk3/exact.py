@@ -1,8 +1,9 @@
 """Exact combinatorial kernel: binomials, exact division, Catalan numbers.
 
-Results are exact Python integers at any size.  From d = PRIME_ROUTE_MIN_D on,
-catalan multiplies out the prime powers of C(2d, d), its primes read off one
-sieve the process keeps and grows; below, math.comb is faster.
+Results are exact Python integers at any size, and the module keeps nothing
+between calls.  From d = PRIME_ROUTE_MIN_D on, catalan multiplies out the prime
+powers of C(2d, d), its primes read off a sieve made for that call; below,
+math.comb is faster.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from itertools import compress, zip_longest
 from operator import mul
 
 PRIME_ROUTE_MIN_D = 512
-SHORT_DIV_MIN_BITS = 2000  # divisor bits where _exact_div_short catches divmod (0.85x its time at 2500)
-_odd_primes = bytearray()  # [i] is 1 just when 2i + 1 is prime, for all i below its length
 
 
 def binomial(n: int, k: int) -> int:
@@ -47,9 +46,10 @@ def _exact_div_short(a: int, b: int) -> int:
     divides a > 0, the floor of (a >> s) / (b >> s), s = 2 len(b) - len(a) - 2, lies
     in [R, R + R/(b >> s)) with b >> s >= 2^(len(a) - len(b) + 1) > R, so it is R;
     q b == a asserts that, else exact_div raises.  An O(len(R)^2) division and one
-    Karatsuba product replace O(len(R) len(b)) schoolbook steps."""
+    Karatsuba product replace O(len(R) len(b)) schoolbook steps, with no size cutoff:
+    route 2's operands at d <= 250 cost 0.2-2 us, within 0.15 us of divmod."""
     s = 2 * b.bit_length() - a.bit_length() - 2
-    if s < 0 or not 0 < b <= a or b.bit_length() < SHORT_DIV_MIN_BITS:
+    if s < 0 or not 0 < b <= a:
         return exact_div(a, b)
     q = (a >> s) // (b >> s)
     return q if q * b == a else exact_div(a, b)
@@ -58,22 +58,19 @@ def _exact_div_short(a: int, b: int) -> int:
 def _central_binomial(d: int) -> int:
     """C(2d, d) for d >= 0 as the product of p**e_p over the primes p <= 2d (Legendre).
 
-    The primes are read off _odd_primes, a sieve the process keeps: when it is
-    short of d it is re-sieved at length max(d, 5L // 4), L its length, and
-    replaced in one assignment, so an interrupt leaves the old one.  Past
-    sqrt(2d), e_p = floor(2d/p) mod 2 and floor(2d/p) = m on (2d/(m+1), 2d/m],
-    so the odd m give O(sqrt(d)) slices of the sieve read out at C level, their
-    primes multiplied 16 at a time by math.prod, then by a balanced tree.
+    The primes are read off a sieve of the odd numbers below 2d made for this
+    call: [i] is 1 just when 2i + 1 is prime, for i < d.  That costs 7-12 us more
+    than a kept sieve at d = 512-2000 (42 against 35 us at 512) and within 4%
+    from d = 2*10^4 on, and leaves the module nothing to keep.  Past sqrt(2d),
+    e_p = floor(2d/p) mod 2 and floor(2d/p) = m on (2d/(m+1), 2d/m], so the odd
+    m give O(sqrt(d)) slices of the sieve read out at C level, their primes
+    multiplied 16 at a time by math.prod, then by a balanced tree.
     """
-    global _odd_primes
-    if len(_odd_primes) < d:
-        size = max(d, len(_odd_primes) * 5 // 4)
-        sieve = bytearray(b"\0" + b"\1" * (size - 1))
-        for p in range(3, math.isqrt(2 * size) + 1, 2):
-            if sieve[p // 2]:
-                sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
-        _odd_primes = sieve
-    n, h, table, factors = 2 * d, (math.isqrt(2 * d) + 1) // 2, _odd_primes, []
+    table = bytearray(b"\0" + b"\1" * (d - 1))
+    for p in range(3, math.isqrt(2 * d) + 1, 2):
+        if table[p // 2]:
+            table[p * p // 2 :: p] = bytes(len(range(p * p // 2, d, p)))
+    n, h, factors = 2 * d, (math.isqrt(2 * d) + 1) // 2, []
     for m in range(1, n // (2 * h + 1) + 1, 2):  # p = 2i + 1 > sqrt(2d) (i >= h), floor(2d/p) = m
         lo, hi = max(h, (n // (m + 1) + 1) // 2), (n // m + 1) // 2
         factors += compress(range(2 * lo + 1, 2 * hi + 1, 2), table[lo:hi])
@@ -90,8 +87,9 @@ def _central_binomial(d: int) -> int:
 
 def catalan(d: int) -> int:
     """Catalan number C(d) = C(2d, d) / (d + 1) for d >= 0.  C(2d, d) is math.comb
-    below PRIME_ROUTE_MIN_D, where the prime route costs more (13 against 0.2 us
-    at d = 33; the two cross near d = 480), and _central_binomial from there on."""
+    below PRIME_ROUTE_MIN_D, where the prime route costs more (11 against 0.09 us
+    at d = 33, 1.09-1.20x at 512; the two cross at d = 516-520, within the
+    timings' spread), and _central_binomial from there on."""
     if d < 0:
         raise ValueError(f"catalan of negative integer {d}")
     return exact_div(_central_binomial(d) if d >= PRIME_ROUTE_MIN_D else math.comb(2 * d, d), d + 1)

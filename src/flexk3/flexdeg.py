@@ -9,7 +9,7 @@ n_d of the polarization class, with
 This module computes n_d five ways and cross-validates:
 
   1. nd_closed        the closed form above, its last 32 answers kept; C(2d, d)
-                      by prime powers from d = 512, off one kept prime sieve
+                      by prime powers from d = 512, off a sieve made per call
   2. nd_factorial     the factorial quotient as (2d+1) R^2, where
                       R = (2d)_d/(d+1)! is one asserted division of a falling
                       factorial, its quotient far shorter than its divisor

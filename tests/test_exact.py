@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import __future__
 import random
 import sys
+import tracemalloc
+import types
 from math import comb, factorial
 
 import pytest
@@ -12,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from flexk3 import exact, flexdeg, qseries, truncpoly
 from flexk3.exact import (
     PRIME_ROUTE_MIN_D,
-    SHORT_DIV_MIN_BITS,
     _central_binomial,
     _exact_div_short,
     binomial,
@@ -103,8 +105,31 @@ def plain_calls(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_exact_div_short_is_exact_div_at_every_size(data):
+    b_bits = data.draw(st.integers(1, 64), "b bits")
+    sign = data.draw(st.sampled_from((1, -1)), "sign")
+    b = sign * data.draw(st.integers(2 ** (b_bits - 1), 2**b_bits - 1), "b")
+    q_bits = data.draw(st.integers(0, b_bits + 2), "q bits")
+    q = data.draw(st.integers(1 - 2**q_bits, 2**q_bits - 1), "q")
+    r = data.draw(st.just(0) | st.integers(1 - abs(b), abs(b) - 1), "r")
+    a = q * b + r
+    plain = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "exact_div", lambda a, b: plain.append((a, b)) or exact_div(a, b))
+        if a % b:
+            with pytest.raises(ArithmeticError) as caught:
+                _exact_div_short(a, b)
+            assert str(caught.value) == exact_div_message(a, b)
+        else:
+            assert _exact_div_short(a, b) == a // b
+            if 0 < b <= a and 2 * b.bit_length() - a.bit_length() - 2 >= 0:
+                assert plain == []  # the truncated quotient is exact, with no divmod
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_exact_div_short_is_exact_div_for_long_divisors(data):
-    b_bits = data.draw(st.integers(SHORT_DIV_MIN_BITS - 2, 3 * SHORT_DIV_MIN_BITS), "b bits")
+    b_bits = data.draw(st.integers(1998, 6000), "b bits")
     b = data.draw(st.integers(2 ** (b_bits - 1), 2**b_bits - 1), "b")
     q_bits = data.draw(st.integers(1, b_bits + 2), "q bits")
     q = data.draw(st.integers(2 ** (q_bits - 1), 2**q_bits - 1), "q")
@@ -123,7 +148,7 @@ def test_exact_div_short_takes_the_short_path_on_exact_divisions(plain_calls):
     # the truncated quotient must be exact, with no divmod to fall back on
     rng = random.Random(28)
     for _ in range(400):
-        b_bits = rng.randrange(SHORT_DIV_MIN_BITS, 3 * SHORT_DIV_MIN_BITS)
+        b_bits = rng.randrange(2000, 6000)
         b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
         q = rng.getrandbits(rng.randrange(1, b_bits - 1)) | 1
         assert _exact_div_short(q * b, b) == q
@@ -131,32 +156,32 @@ def test_exact_div_short_takes_the_short_path_on_exact_divisions(plain_calls):
 
 
 def test_exact_div_short_cutoff_and_shift_boundaries(plain_calls):
-    # (q, b, s, short): s = 2 len(b) - len(q b) - 2, and top and low have n bits
-    n = SHORT_DIV_MIN_BITS
-    top, low = 2**n - 1, 2 ** (n - 1) + 1
-    cases = [
-        (2 ** (n - 2) - 1, top, 0, True),  # the longest quotient with s >= 0
-        (2 ** (n - 2) + 1, low, 0, True),
-        (2 ** (n - 3) - 1, top, 1, True),
-        (2 ** (n - 3) + 3, low, 1, True),
-        (2 ** (n - 1) - 1, top, -1, False),  # one bit longer: plain divmod
-        (7, low, n - 4, True),
-        (7, low // 2, None, False),  # a divisor one bit short of the cutoff
-        (2 ** (n // 2) + 1, top // 2, None, False),
-    ]
-    for q, b, s, short in cases:
-        a = q * b
-        if s is not None:
+    # (q, b, s): s = 2 len(b) - len(q b) - 2, top and low have n bits, and the
+    # short path runs just when s >= 0, whatever the size of b
+    for n in (12, 2000):
+        top, low = 2**n - 1, 2 ** (n - 1) + 1
+        cases = [
+            (2 ** (n - 2) - 1, top, 0),  # the longest quotient with s >= 0
+            (2 ** (n - 2) + 1, low, 0),
+            (2 ** (n - 3) - 1, top, 1),
+            (2 ** (n - 3) + 3, low, 1),
+            (2 ** (n - 1) - 1, top, -1),  # one bit longer: plain divmod
+            (7, low, n - 4),
+            (7, low // 2, n - 5),  # divisors of n - 1 bits
+            (2 ** (n // 2) + 1, top // 2, n - n // 2 - 4),
+        ]
+        for q, b, s in cases:
+            a = q * b
             assert 2 * b.bit_length() - a.bit_length() - 2 == s, (q, b)
-        plain_calls.clear()
-        assert _exact_div_short(a, b) == q
-        assert plain_calls == ([] if short else [(a, b)])
-        with pytest.raises(ArithmeticError):
-            _exact_div_short(a + 1, b)
+            plain_calls.clear()
+            assert _exact_div_short(a, b) == q
+            assert plain_calls == ([] if s >= 0 else [(a, b)])
+            with pytest.raises(ArithmeticError):
+                _exact_div_short(a + 1, b)
 
 
 def test_exact_div_short_hands_other_signs_to_exact_div(plain_calls):
-    b = 2**SHORT_DIV_MIN_BITS + 1
+    b = 2**2000 + 1
     assert _exact_div_short(-3 * b, b) == -3
     assert _exact_div_short(3 * b, -b) == -3
     assert _exact_div_short(-3 * b, -b) == 3
@@ -187,45 +212,28 @@ def test_central_binomial_by_primes_matches_comb():
         assert _central_binomial(d) == comb(2 * d, d), d
 
 
-@pytest.fixture
-def cold_table(monkeypatch):
-    """Start from an empty prime table, whatever ran before."""
-    monkeypatch.setattr(exact, "_odd_primes", bytearray())
-
-
-def test_kept_table_matches_comb_rising_and_falling(cold_table):
-    tables = []
-    for d in range(512, 2049):  # rising: the table grows by at least a quarter each time
-        assert _central_binomial(d) == comb(2 * d, d), d
-        if not tables or exact._odd_primes is not tables[-1]:
-            tables.append(exact._odd_primes)
-    assert len(tables) == 8  # sieved at 512, then 1.25 times the length before, 7 times
-    exact._odd_primes = bytearray()
-    for d in range(1500, -1, -1):  # falling: one table from the first d on
-        assert _central_binomial(d) == comb(2 * d, d), d
-    assert len(exact._odd_primes) == 1500
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 20])
-@pytest.mark.parametrize("held", [0, 700])
-def test_interrupted_table_growth_leaves_later_results_correct(cold_table, monkeypatch, m, held):
-    _central_binomial(held)
-    before = exact._odd_primes
-    calls = []
-
-    def failing_bytes(size):  # the sieve's strike-out of one prime's multiples
-        calls.append(size)
-        if len(calls) == m:
-            raise KeyboardInterrupt
-        return bytes(size)
-
-    monkeypatch.setattr(exact, "bytes", failing_bytes, raising=False)
-    with pytest.raises(KeyboardInterrupt):
-        _central_binomial(3000)
-    assert exact._odd_primes is before
-    monkeypatch.delattr(exact, "bytes")
-    later = (3000, 12, held, 4000, 1)
-    assert [_central_binomial(d) for d in later] == [comb(2 * d, d) for d in later]
+def test_exact_keeps_nothing_between_calls():
+    # no store at module level: its values are functions, classes, modules and
+    # immutable numbers and strings, with no list, bytearray, dict, set or lru_cache
+    stateless = (types.FunctionType, types.BuiltinFunctionType, type, types.ModuleType, int, str)
+    kept = {
+        name: type(value).__name__
+        for name, value in vars(exact).items()
+        if not name.startswith("__") and value is not __future__.annotations
+        if not isinstance(value, stateless)
+    }
+    assert kept == {}
+    # and none hidden elsewhere: after a warm-up call, a call at d = 200,000 (a
+    # 200 kB sieve) leaves the traced size where it was once its result is dropped
+    _central_binomial(PRIME_ROUTE_MIN_D)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _central_binomial(200_000)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after == before
 
 
 def test_catalan_takes_the_prime_route_from_the_cutoff(monkeypatch):

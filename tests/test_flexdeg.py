@@ -162,8 +162,14 @@ def test_factorial_matches_closed_form_large_d(d):
     assert nd_factorial(d) == nd_closed(d)
 
 
+def test_factorial_divides_on_the_short_path(monkeypatch):
+    # route 2's root division needs no plain exact_div at any size
+    monkeypatch.setattr(exact, "exact_div", None)
+    for d in (1, 7, 33, 300, 2000):
+        assert nd_factorial(d) == (2 * d + 1) * (comb(2 * d, d) // (d + 1)) ** 2
+
+
 def test_factorial_asserts_its_root_division(monkeypatch):
-    # d = 600 divides by 601!, past exact.SHORT_DIV_MIN_BITS
     for name in ("perm", "factorial"):
         for d in (7, 600):
             with monkeypatch.context() as patch:

@@ -97,8 +97,7 @@ def record_calls(call) -> set[str]:
 
 
 def test_routes_call_only_their_own_and_trusted_functions(monkeypatch):
-    # at 7 and 600, both sides of catalan's prime route (512) and of
-    # _exact_div_short's 2000-bit cutoff (601! has 4,680 bits)
+    # at 7 and 600, both sides of catalan's prime route (512)
     callers: dict[str, set[str]] = {}
     answers = {}
     for route, function in {**ND_ROUTES, **Q_ROUTES}.items():
@@ -107,7 +106,6 @@ def test_routes_call_only_their_own_and_trusted_functions(monkeypatch):
                 memo.cache_clear()
             monkeypatch.setattr(qseries, "_longest", ())
             monkeypatch.setattr(schubert, "_walk", ([1], (1,)))
-            monkeypatch.setattr(exact, "_odd_primes", bytearray())
             for name in record_calls(lambda: answers.__setitem__((route, size), function(size))):
                 callers.setdefault(name, set()).add(route)
     broken = {

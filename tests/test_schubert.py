@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from schubert_reference import integrate, iterate, mul_sigma2, pieri_sigma1
 
-from flexk3.exact import SHORT_DIV_MIN_BITS, catalan
+from flexk3 import exact
+from flexk3.exact import catalan
 from flexk3.schubert import _sigma1_step, monomial_integral
 
 
@@ -64,15 +65,16 @@ def test_sigma1_annihilation_beyond_top():
         assert terms == {}
 
 
-def test_monomial_integral_values():
+def test_monomial_integral_values(monkeypatch):
     assert monomial_integral(4, 0, 2) == 2
     assert monomial_integral(6, 0, 3) == 5
     assert monomial_integral(2, 0, 1) == 1
     for d in range(1, 9):
         assert monomial_integral(0, d, d) == 1
         assert monomial_integral(2 * d, 0, d) == catalan(d)
-    for d in (300, 2000):  # (d+1)! past SHORT_DIV_MIN_BITS: the short division runs
-        assert factorial(d + 1).bit_length() >= SHORT_DIV_MIN_BITS
+    # route 4's start answers through the short division, no plain exact_div
+    monkeypatch.setattr(exact, "exact_div", None)
+    for d in (1, 7, 33, 300, 2000):
         want = factorial(2 * d) // (factorial(d) * factorial(d + 1))
         assert monomial_integral(2 * d, 0, d) == want
 
