@@ -2,12 +2,13 @@
 
 COMMANDS lists the subcommands (nd, table, yz, crossover, asym, selftest)
 with each one's help line, handler and options, --format {text|csv|json}
-among them.  parse_args reads argv by it in one pass: `--name value`,
-`--name=value`, a unique prefix of a long name, `-d N` or `-dN`, the last
-one given winning.  The help pages and the usage line before a usage
-error are written from it too.  Exit codes are fixed: 0 success or
-agreement, 1 cross-check disagreement or internal failure, 2 usage error.
-The top-level --debug flag, given before the subcommand, re-raises an
+among them.  parse_args reads the argv callers write, `--name value`
+pairs with each name in full, straight from it; any other argv (help,
+prefixes, `--name=value`, `-dN`, usage errors) goes to an argparse parser
+built from it on first need, so argparse is never imported for the
+common shape.  Exit codes are fixed: 0 success or agreement, 1
+cross-check disagreement or internal failure, 2 usage error.  The
+top-level --debug flag, given before the subcommand, re-raises an
 internal failure, a failing selftest check included, with its traceback
 instead of printing it as one error or FAIL line with exit code 1.  A
 reader closing stdout early (as `| head` does) ends the command with exit
@@ -114,7 +115,7 @@ def cmd_nd(args: SimpleNamespace) -> int:
 
 def cmd_table(args: SimpleNamespace) -> int:
     if args.d_from > args.d_to:
-        _fail("flexk3", _TOP, f"--from {args.d_from} exceeds --to {args.d_to}")
+        _parser().error(f"--from {args.d_from} exceeds --to {args.d_to}")
     reports = flexdeg.cross_check(args.d_from, args.d_to)
     _render_rows(flexdeg.FlexReport._fields, reports, args.format)
     return 0 if all(r.agree for r in reports) else 1
@@ -277,13 +278,9 @@ def cmd_selftest(args: SimpleNamespace) -> int:
     return 0 if all(status == "PASS" for _, status, _, _ in rows) else 1
 
 
-# An option is (flag, dest, rule, default, help): rule None takes no value, a tuple
-# holds the choices and an int is the least integer allowed; default None makes the
-# option required.  "-h/--help" is one option under two names.
-_HELP = ("-h/--help", "help", None, False, "show this help message and exit")
+# An option is (flag, dest, rule, default, help): a tuple rule holds the choices and an
+# int rule is the least integer allowed; default None makes the option required.
 _SUMMARY = "Exact flex-divisor multiples of polarized K3 surfaces, cross-checked five ways."
-_TOP = (_HELP, ("--debug", "debug", None, False,
-                "re-raise internal failures with their traceback instead of exiting 1"))
 _FORMAT = ("--format", "format", ("text", "csv", "json"), "text", "output format")
 _D = ("-d", "d", 1, None, "half-degree d >= 1")
 _METHOD = ("--method", "method", (*flexdeg.ROUTES, "all"), "all",
@@ -304,124 +301,78 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple]] = {
 }
 
 
-def _spelled(flag: str, dest: str, rule: object) -> str:
-    if rule is None:
-        return flag
-    return f"{flag} {{{','.join(rule)}}}" if isinstance(rule, tuple) else f"{flag} {dest.upper()}"
-
-
-def _usage(prog: str, options: tuple) -> str:
-    words = [_spelled(flag.split("/")[0], dest, rule) for flag, dest, rule, _, _ in options]
-    words = [word if option[3] is None else f"[{word}]" for word, option in zip(words, options)]
-    tail = [f"{{{','.join(COMMANDS)}}} ..."] if options is _TOP else []
-    return " ".join(["usage:", prog, *words, *tail])
-
-
-def _fail(prog: str, options: tuple, message: str) -> None:  # never returns: raises SystemExit
-    sys.stderr.write(f"{_usage(prog, options)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _help(prog: str, summary: str, options: tuple) -> None:  # never returns: raises SystemExit
-    rows = [(name, entry[0]) for name, entry in COMMANDS.items()] if options is _TOP else []
-    for flag, dest, rule, default, text in options:
-        tag = " (required)" if default is None else "" if rule is None else f" (default: {default})"
-        rows.append((_spelled(flag.replace("/", ", "), dest, rule), text + tag))
-    width = max(len(left) for left, _ in rows)
-    print(_usage(prog, options), "", summary, "", sep="\n")
-    print(*(f"  {left.ljust(width)}  {right}" for left, right in rows), sep="\n")
-    raise SystemExit(0)
-
-
-def _classify(arg: str, flags: dict, fail: Callable[[str], None]) -> tuple | None:
-    """How one argument reads against flags, the same every time: None for a positional,
-    ("", None) for an unknown option, else (its option, the value given with it or None)."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    name, eq, value = arg.partition("=")
-    if arg in flags or eq and name in flags:
-        return (flags[arg], None) if arg in flags else (flags[name], value)
-    if arg[1] == "-":  # a prefix of long flags, perhaps with =value
-        hits, value = [flag for flag in flags if flag.startswith(name)], value if eq else None
-    else:  # -dN
-        hits, value = [flag for flag in flags if flag == arg[:2]], arg[2:]
-    if len(hits) > 1:
-        fail(f"ambiguous option: {arg} could match {', '.join(hits)}")
-    if hits:
-        return flags[hits[0]], value
-    # argparse's negative number ^-\d+$|^-\d*\.\d+$ (\d is isdecimal, $ passes one "\n")
-    head, dot, tail = arg[1:].removesuffix("\n").partition(".")
-    return None if (head + tail).isdecimal() and (tail or not dot) or " " in arg else ("", None)
-
-
 @functools.cache
-def _table(command: str) -> tuple:
-    """The parse table of a command, or of the top level for "" (command "", func None)."""
-    summary, func, own = COMMANDS[command] if command else (_SUMMARY, None, ())
-    options = (_HELP, _FORMAT, *own) if command else _TOP
-    defaults = {"command": command, "func": func} | {option[1]: option[3] for option in options[1:]}
-    required = [option[:2] for option in options if option[3] is None]  # (flag, dest) pairs
-    fail = functools.partial(_fail, prog := f"flexk3 {command}".rstrip(), options)
-    flags = {name: option for option in options for name in option[0].split("/")}  # aliases split
-    classify = functools.lru_cache(64)(lambda arg: _classify(arg, flags, fail))
-    return defaults, required, classify, fail, functools.partial(_help, prog, summary, options)
+def _parser():
+    """The argparse parser for COMMANDS, built on first use."""
+    import argparse
+
+    def at_least(low: int, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            need = "must be a positive integer" if low else "must be nonnegative"
+            raise argparse.ArgumentTypeError(f"{need}, got {value}")
+        return value
+
+    layout = functools.partial(argparse.HelpFormatter, max_help_position=60, width=200)
+    parser = argparse.ArgumentParser(prog="flexk3", description=_SUMMARY, formatter_class=layout)
+    parser.add_argument("--debug", action="store_true",
+                        help="re-raise internal failures with their traceback instead of exiting 1")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, func, own) in COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary, description=summary, formatter_class=layout)
+        for flag, dest, rule, default, text in (_FORMAT, *own):
+            tag = "required" if default is None else f"default: {default}"
+            check = ({"choices": rule} if isinstance(rule, tuple)
+                     else {"type": functools.partial(at_least, rule)})
+            sub.add_argument(flag, dest=dest, required=default is None, default=default,
+                             help=f"{text} ({tag})", **check)
+        sub.set_defaults(func=func)
+    return parser
 
 
-def _read(command: str, argv: list, args: dict, extras: list) -> list:
-    """Read argv into args and extras by command's table.  A subcommand sorts every argument
-    before it reads any, so an ambiguous prefix fails first; the top level ("") stops at the
-    subcommand and returns argv from there on."""
-    defaults, required, classify, fail, show_help = _table(command)
-    args.update(defaults)
-    words = zip(argv, list(map(classify, argv)) if command else map(classify, argv))
-    for i, (arg, kind) in enumerate(words):
-        if kind is None and not command:  # no top-level option takes a value
-            return argv[i:]
-        if not kind or not kind[0]:
-            extras.append(arg)
-            continue
-        (flag, dest, rule, _, _), value = kind
-        if rule is None:
-            if value is not None:
-                fail(f"argument {flag}: ignored explicit argument {value!r}")
-            if flag == _HELP[0]:
-                show_help()
-            value = True
-        elif value is None:
-            value, kind = next(words, (None, ""))
-            if kind is not None:
-                fail(f"argument {flag}: expected one argument")
-        if isinstance(rule, tuple) and value not in rule:
-            choices = ", ".join(map(repr, rule))
-            fail(f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
-        if isinstance(rule, int):
+def _read(argv: list[str]) -> dict | None:
+    """argv as `[--debug] <command>` then `--flag value` pairs, read by COMMANDS: each flag
+    one of the command's, spelled in full, each value valid and not starting with "-", and
+    every required option given.  None for any other argv."""
+    debug = argv[:1] == ["--debug"]
+    command, *words = argv[debug:] or [""]
+    if command not in COMMANDS or len(words) % 2:
+        return None
+    _, func, own = COMMANDS[command]
+    options = {option[0]: option for option in (_FORMAT, *own)}
+    args = {"debug": debug, "command": command, "func": func}
+    args.update({dest: default for _, dest, _, default, _ in options.values()})
+    for flag, value in zip(words[::2], words[1::2]):
+        if flag not in options or value[:1] == "-":
+            return None
+        _, dest, rule, _, _ = options[flag]
+        if isinstance(rule, tuple):
+            if value not in rule:
+                return None
+        else:
             try:
                 value = int(value)
             except ValueError:
-                fail(f"argument {flag}: not an integer: {value!r}")
+                return None
             if value < rule:
-                need = "must be a positive integer" if rule else "must be nonnegative"
-                fail(f"argument {flag}: {need}, got {value}")
+                return None
         args[dest] = value
-    if missing := [flag for flag, dest in required if args[dest] is None]:
-        fail("the following arguments are required: " + ", ".join(missing))
-    return []
+    return None if None in args.values() else args
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """argv read by COMMANDS: -h and --debug, then a subcommand and its options.
-    A usage error prints the usage line and the error, and exits 2."""
-    args, extras = {}, []
-    rest = _read("", argv, args, extras)
-    if not rest:
-        _fail("flexk3", _TOP, "the following arguments are required: command")
-    if rest[0] not in COMMANDS:
-        message = f"invalid choice: {rest[0]!r} (choose from {', '.join(map(repr, COMMANDS))})"
-        _fail("flexk3", _TOP, f"argument command: {message}")
-    _read(rest[0], rest[1:], args, extras)
-    if extras:
-        _fail("flexk3", _TOP, "unrecognized arguments: " + " ".join(extras))
-    return SimpleNamespace(**args)
+    """argv read as `[--debug] <command>` and the command's options, by COMMANDS.
+
+    The shape callers write, `--flag value` pairs with each flag in full, is read
+    here; every other argv goes to argparse, imported on first need, which gives
+    the same namespace for that shape.  -h or --help prints a help page and exits
+    0; a usage error prints the usage line and the error, and exits 2.
+    """
+    args = _read(argv)
+    return SimpleNamespace(**(vars(_parser().parse_args(argv)) if args is None else args))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -259,18 +259,18 @@ def yz_log_model(d: int) -> float:
     return 4 * math.pi * math.sqrt(d) - 0.5 * math.log(2) - 6.75 * math.log(d)
 
 
+def _asym(d: int, log_exact: float, log_model: float) -> AsymReport:
+    return AsymReport(d, log_exact, log_model, log_exact - log_model)
+
+
 def asym_flex(d: int) -> AsymReport:
     """Compare ln n_d against the flex growth model."""
-    log_exact = math.log(nd_closed(d))
-    log_model = flex_log_model(d)
-    return AsymReport(d, log_exact, log_model, log_exact - log_model)
+    return _asym(d, math.log(nd_closed(d)), flex_log_model(d))
 
 
 def asym_yz(d: int) -> AsymReport:
     """Compare ln yz_d against the Yau-Zaslow growth model."""
-    log_exact = math.log(yz_multiple(d))
-    log_model = yz_log_model(d)
-    return AsymReport(d, log_exact, log_model, log_exact - log_model)
+    return _asym(d, math.log(yz_multiple(d)), yz_log_model(d))
 
 
 def crossover(max_d: int) -> CrossoverReport:

@@ -7,8 +7,6 @@ import csv
 import io
 import json
 import os
-import random
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,22 +302,6 @@ def test_csv_quotes_a_carriage_return():
     assert cli._csv_field("a\rb") == '"a\rb"'
 
 
-# argparse's negative-number test, which _classify matched with re before it used str methods
-NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-FIXED_DASH_ARGS = [
-    "-0", "-1", "-12", "-1\n", "-1\n\n", "-\n", "-.5", "-.5\n", "-1.5", "-1.", "-.", "-1.5.",
-    "-1..5", "-.5.5", "--1", "-+1", "-1e5", "-1 ", "- 1", "-1\n ", "-٣", "-.٣", "-²", "-1²", "-a",
-]
-
-
-def test_classify_negative_number_matches_old_pattern():
-    rng = random.Random(2021)
-    generated = ["-" + "".join(rng.choices("-0123.\n a٣²e+", k=rng.randint(1, 8))) for _ in range(20000)]
-    for arg in FIXED_DASH_ARGS + generated:
-        positional = bool(NEGATIVE_NUMBER.match(arg)) or " " in arg
-        assert cli._classify(arg, {}, pytest.fail) == (None if positional else ("", None)), repr(arg)
-
-
 def test_output_deterministic(capsys):
     _, first = run_cli(capsys, "table", "--from", "1", "--to", "8", "--format", "json")
     _, second = run_cli(capsys, "table", "--from", "1", "--to", "8", "--format", "json")
@@ -431,6 +413,39 @@ def test_cli_import_loads_no_heavy_module():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# Every argv shape the benchmark issues (bench/workloads.cli_argv and its QUERY_CLI).
+BENCHMARK_ARGV = [
+    ["table", "--from", "20", "--to", "20", "--format", "csv"],
+    *(["nd", "-d", "5", "--method", method] for method in ("closed", "factorial", "sum", "monomial")),
+    *(["asym", "-d", "5", "--kind", kind] for kind in ("yz", "flex")),
+    ["yz", "--max-n", "12"],
+    ["yz", "--max-n", "12", "--format", "csv"],
+    ["crossover", "--max-d", "12", "--format", "csv"],
+]
+
+
+def test_benchmark_argv_never_imports_argparse(capsys):
+    # -S as above; each main call must be read without argparse (or gettext, which it loads)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import io, sys; from flexk3 import cli; sys.stdout = io.StringIO()\n"
+        f"codes = [cli.main(argv) for argv in {BENCHMARK_ARGV!r}]\n"
+        "loaded = sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "print(codes, loaded, file=sys.__stdout__)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[0] * len(BENCHMARK_ARGV)} []\n"
+    # other spellings go to argparse and print the same bytes
+    for spelled, exact in (
+        ("nd -d 3 --format=csv", "nd -d 3 --format csv"),
+        ("table --fr 1 --to 3 --format csv", "table --from 1 --to 3 --format csv"),
+    ):
+        assert run_cli(capsys, *spelled.split()) == run_cli(capsys, *exact.split())
 
 
 JSON_TEXT = st.text(alphabet='"\\\n aZ0é€\U0001f600', max_size=8)

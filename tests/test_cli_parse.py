@@ -1,21 +1,17 @@
-"""The CLI's parser against the argparse parser it replaced, and its help pages.
+"""The CLI's parser against the argparse parser it once used, and its help pages.
 
 tests/cli_reference.py keeps that argparse parser.  Hypothesis writes argv over
 every subcommand, option and option form, good and bad values, missing and
-repeated options and --debug on either side of the subcommand.  Where argparse
-accepts the argv, both parsers must give equal namespaces; where it refuses
-it, both must exit 2.  The last stderr line must then equal argparse's where
-test_cli_golden pins that kind of message, and otherwise agree through
-`prog: error: argument <flag>:` (or through the error's first clause when it
-names no argument), since argparse's wording varies across Python versions.
+repeated options, `--` and `--=value`, and --debug on either side of the
+subcommand.  Where argparse accepts the argv, both parsers must give equal
+namespaces; where it refuses it, both must exit 2.  The last stderr line must
+then equal argparse's where test_cli_golden pins that kind of message, and
+otherwise agree through `prog: error: argument <flag>:` (or through the
+error's first clause when it names no argument), since argparse's wording
+varies across Python versions.
 
-Left out of the generator, because the CLI does them differently on purpose:
-- `-h`, `--help` and its prefixes, whose page is written from the command table;
-- `--`, argparse's end-of-options marker, which the CLI does not read;
-- `--=value` after the subcommand: argparse sorts it against the top level's
-  flags too and reports it ambiguous between --help and --debug, while the CLI
-  stops reading the top level at the subcommand, which reports it against its
-  own flags.  Both exit 2.
+Left out of the generator: `-h`, `--help` and its prefixes, whose page is
+the CLI's own.
 """
 
 from __future__ import annotations
@@ -67,8 +63,9 @@ FLAGS = {
     "asym": (["-d"], ["--kind"]),
     "selftest": ([], []),
 }
-# words after the subcommand that no option of it takes, --debug among them
-JUNK = st.sampled_from(["extra", "--bogus", "-x", "-5", "--debug", "--deb", "--debug=1", "a b"])
+# words after the subcommand that no option of it takes, --debug and -- among them
+JUNK = st.sampled_from(
+    ["extra", "--bogus", "-x", "-5", "--debug", "--deb", "--debug=1", "a b", "--", "--=csv"])
 
 
 @st.composite
@@ -126,6 +123,10 @@ def outcome(parse, args: list[str]) -> tuple[dict | int, str]:
 @example(["table", "--f", "3", "--to", "4"])
 @example(["table", "--to", "4"])
 @example(["--deb", "crossover", "--max-d", "-0"])
+@example(["nd", "--", "-d", "3"])
+@example(["nd", "-d", "3", "--"])
+@example(["table", "--=csv", "--from", "1", "--to", "2"])
+@example(["table", "--from", "1", "--to", "2", "--=csv"])
 def test_parse_matches_argparse(args):
     ours = outcome(cli.parse_args, args)
     theirs = outcome(cli_reference.build_parser().parse_args, args)
@@ -169,7 +170,7 @@ def test_help_lists_every_option(capsys, name):
         assert ("(required)" if default is None else f"(default: {default})") in line
 
 
-# One valid argv per subcommand, for the table tests below.
+# One valid argv per subcommand, in the shape the CLI reads without argparse.
 VALID = {
     "nd": ["nd", "-d", "3"],
     "table": ["table", "--from", "2", "--to", "3", "--format", "csv"],
@@ -180,32 +181,18 @@ VALID = {
 }
 
 
-@pytest.mark.parametrize("command", ["", *cli.COMMANDS])
-def test_table_spells_out_commands(command):
-    """Each table reads every flag and "/" alias as its COMMANDS option, and holds the
-    defaults and required (flag, dest) pairs that COMMANDS gives it."""
-    if command:
-        _, func, own = cli.COMMANDS[command]
-        options = (cli._HELP, cli._FORMAT, *own)
-    else:
-        func, options = None, cli._TOP
-    defaults, required, classify, _, _ = cli._table(command)
-    for option in options:
-        for name in option[0].split("/"):
-            assert classify(name) == (option, None), name
-    assert defaults == {"command": command, "func": func, **{o[1]: o[3] for o in options[1:]}}
-    assert required == [(flag, dest) for flag, dest, _, default, _ in options if default is None]
-
-
-def test_tables_built_once_per_command():
-    cli._table.cache_clear()
+def test_parser_built_once():
+    """argparse's parser is built on the first argv the reader declines and reused after;
+    the argv callers write never builds it."""
+    cli._parser.cache_clear()
     for argv in VALID.values():
-        for _ in range(100):
-            cli.parse_args(list(argv))
-    info = cli._table.cache_info()
-    # one build for the top level and one for each subcommand, however many parses
-    assert info.misses == len(cli.COMMANDS) + 1
-    assert info.hits + info.misses == 2 * 100 * len(VALID)
+        cli.parse_args(list(argv))
+    assert cli._parser.cache_info().misses == 0
+    for argv in VALID.values():
+        for _ in range(10):
+            assert cli.parse_args([*argv, "--format=csv"]).format == "csv"
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 10 * len(VALID) - 1)
 
 
 def test_parses_return_independent_namespaces():
@@ -213,8 +200,11 @@ def test_parses_return_independent_namespaces():
     assert first == second and first is not second
     first.d_from, first.format = 99, "json"
     assert (second.d_from, second.format) == (2, "csv")
-    assert cli._table("table")[0]["d_from"] is None
     assert cli.parse_args(VALID["table"]) == second
+    spelled = ["table", "--fr", "2", "--to=3", "--format", "csv"]  # read by argparse
+    first = cli.parse_args(spelled)
+    first.d_from, first.format = 99, "json"
+    assert cli.parse_args(spelled) == second
 
 
 @settings(max_examples=300, deadline=None)

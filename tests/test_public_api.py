@@ -107,7 +107,7 @@ def package_functions():
 def test_every_annotation_resolves():
     # annotations stay strings at run time; each must resolve in its own module
     functions = package_functions()
-    assert ("flexk3.cli", "_fail", flexk3.cli._fail) in functions
+    assert ("flexk3.cli", "_read", flexk3.cli._read) in functions
     assert ("flexk3.flexdeg", "nd_closed", flexdeg.nd_closed) in functions
     for *_, function in functions:
         typing.get_type_hints(function)
