@@ -29,11 +29,11 @@ new top index by the logarithmic-derivative identity
 
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
 
-and raises ArithmeticError if it fails.  An independent oracle builds
-E = prod (1 - q^n) from the top factor down, checks Ramanujan's congruence
-tau(m) = sigma_11(m) (mod 691) on E^24 (a square and four narrower products),
-and takes E^(-24) from E's own nonzero terms by the same power rule, tied
-to E^24 at q^N: O(N^(3/2)) products, no series identity.
+and raises ArithmeticError if it fails.  An independent oracle writes down
+the factors of E = prod (1 - q^n) above N / 4 and multiplies in the rest,
+takes E^24 by four products sized off E and a square sized off E^12, checks
+tau(m) = sigma_11(m) (mod 691) on it, and takes E^(-24) from E's nonzero
+terms by the same power rule, tied to E^24 at q^N: no series identity.
 
 This module also compares the flex multiples n_d against the Yau-Zaslow
 multiples (crossover) and checks both against their growth models
@@ -146,9 +146,13 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
 
 
 def _euler_product(N: int) -> list[int]:
-    """prod_{n <= N} (1 - q^n) truncated at q^N, from the factor n = N down."""
-    e = [1] + [-1] * N  # factor n puts -1 at q^n, where the factors above n have no term
-    for n in range((N - 1) // 2, 0, -1):  # factors > n are in: q^(n+1)..q^(2n+2) hold -1
+    """prod_{n <= N} (1 - q^n) truncated at q^N.  No four factors above m = N // 4 sum to
+    N or less: their product is 1 - sum_{m < k <= N} q^k, plus (k - 1) // 2 - m pairs at q^k for
+    k >= 2m + 3, minus the round(x^2 / 12) partitions of x = k - 3m - 3 >= 0 into three parts."""
+    m, e = N // 4, [1] + [-1] * N  # factor n puts -1 at q^n, where the factors above n have no term
+    e[2 * m + 3 :] = [i // 2 for i in range(N - 2 * m - 2)]  # q^k, k = 2m + 3 + i: -1 + (k - 1) // 2 - m
+    e[3 * m + 3 :] = [c - (x * x + 6) // 12 for x, c in enumerate(e[3 * m + 3 :])]  # minus the triples
+    for n in range(m, 0, -1):  # factors > n are in: q^(n+1)..q^(2n+2) hold -1
         e[2 * n + 1 :] = map(sub, e[2 * n + 1 :], e[n + 1 : N + 1 - n])
     return e
 
@@ -166,16 +170,22 @@ def _euler_power_24(e: list[int]) -> list[int]:
 
         |c_k| <= sum_{j <= min(m, N)} C(m, j) L^j,
 
-    read off E itself, not from any series identity.  The chain E, E^2,
-    E^3 = E^2 E, E^6, E^12, E^24 holds each E^m in slots of w_m bytes, the
-    least whose half exceeds that bound, so each power reads back exactly
-    and is widened into the next one's slots by w_m strided byte copies and
-    one packed bias.  Only the last step, a square, runs at width w_24.
+    read off E itself.  The chain E, E^2, E^3 = E^2 E, E^6, E^12 holds each
+    E^m in w_m-byte slots, the least whose half exceeds that bound, widened
+    into the next one's by w_m strided byte copies and one packed bias.  By
+    Cauchy-Schwarz, E^24 = (E^12)^2 fits slots past sum_j a_j^2, E^12 = sum_j a_j q^j.
     """
     ell, count = sum(map(abs, e)) - 1, len(e)
 
     def slot_bytes(m):  # w_m
         return sum(binomial(m, j) * ell**j for j in range(min(m + 1, count))).bit_length() // 8 + 1
+
+    def pack(coeffs, w):  # each c_k + 2^(8w-1) in w little-endian bytes
+        return b"".join((c + (1 << 8 * w - 1)).to_bytes(w, "little") for c in coeffs)
+
+    def unpack(packed, w):  # the c_k back from their biased w-byte slots
+        half = 1 << 8 * w - 1
+        return [int.from_bytes(packed[i : i + w], "little") - half for i in range(0, len(packed), w)]
 
     def widen(packed, wide, ones):  # sum_k c_k 2^(8 wide k) from the biased slots of packed
         narrow, out = len(packed) // count, bytearray(count * wide)
@@ -183,25 +193,30 @@ def _euler_power_24(e: list[int]) -> list[int]:
             out[i::wide] = packed[i::narrow]
         return int.from_bytes(out, "little") - (1 << 8 * narrow - 1) * ones
 
-    w = slot_bytes(1)
-    powers = {1: b"".join((c + (1 << 8 * w - 1)).to_bytes(w, "little") for c in e)}
+    powers = {1: pack(e, slot_bytes(1))}
     for m in (2, 3, 6, 12, 24):  # E^m = E^(m // 2) E^(m - m // 2), a square but for m = 3
-        w = slot_bytes(m)
+        if m == 24:  # E^12, read back, sizes E^24's slots and is packed again at that width
+            twelfth = unpack(powers[12], w)
+            powers[12] = pack(twelfth, sum(map(mul, twelfth, twelfth)).bit_length() // 8 + 1)
+        w = slot_bytes(m) if m < 24 else len(powers[12]) // count
         half, ones = 1 << 8 * w - 1, int.from_bytes(b"\1".ljust(w, b"\0") * count, "little")
         x = widen(powers[m // 2], w, ones)
         x = x * (widen(powers[2], w, ones) if m == 3 else x) + half * ones
-        packed = powers[m] = (x & (1 << 8 * w * count) - 1).to_bytes(w * count, "little")
-    return [int.from_bytes(packed[i : i + w], "little") - half for i in range(0, len(packed), w)]
+        powers[m] = (x & (1 << 8 * w * count) - 1).to_bytes(w * count, "little")
+    return unpack(powers[24], w)
 
 
 def _check_ramanujan_691(tau: list[int]) -> None:
     """Raise ArithmeticError unless tau(m) = sigma_11(m) (mod 691) for
     m = 1..len(tau), with tau(m) at index m - 1 (Ramanujan 1916; Hardy and
-    Wright, Ch. XIX).  sigma_11 mod 691 comes from an O(N log N) sieve."""
+    Wright, Ch. XIX).  sigma_11 mod 691 is sieved over divisor pairs d <= q."""
     top = len(tau)
+    powers = [pow(k, 11, 691) for k in range(top + 1)]
     sigma11 = [0] * (top + 1)
-    for div in range(1, top + 1):
-        sigma11[div::div] = map(pow(div, 11, 691).__add__, sigma11[div::div])
+    for d in range(1, math.isqrt(top) + 1):  # m = d q <= top with d <= q gains d^11 and q^11
+        sigma11[d * d] += powers[d]  # q = d, counted once
+        pairs = slice(d * d + d, None, d)  # q = d + 1..top // d
+        sigma11[pairs] = map(powers[d].__add__, map(add, sigma11[pairs], powers[d + 1 : top // d + 1]))
     for m in range(1, top + 1):
         if (tau[m - 1] - sigma11[m]) % 691:
             raise ArithmeticError(f"product oracle fails tau({m}) = sigma_11({m}) mod 691")
@@ -210,10 +225,10 @@ def _check_ramanujan_691(tau: list[int]) -> None:
 def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
     """Same coefficients from the expanded product E = prod_{n <= N} (1 - q^n).
 
-    E comes from _euler_product (N^2 / 4 small subtractions) and E^24, sum_n
-    tau(n+1) q^n, from _euler_power_24: each E^m on its chain is read back
-    exactly from slots past twice its bound sum_{j <= min(m, N)} C(m, j) L^j,
-    L = sum_k |e_k| - 1.  E^24 must pass Ramanujan's congruence mod 691.
+    E comes from _euler_product (3N^2 / 16 small subtractions) and E^24, sum_n
+    tau(n+1) q^n, from _euler_power_24: E^m, m <= 12, is held in slots past
+    twice sum_{j <= min(m, N)} C(m, j) L^j, L = sum_k |e_k| - 1, and E^24 past
+    twice sum_j a_j^2 over E^12.  E^24 must pass Ramanujan's congruence mod 691.
     E P' = -24 E' P (Miller's power rule) gives P = E^(-24) from E's own
     nonzero terms e_k (32 to q^400),
 

@@ -149,12 +149,13 @@ def test_product_oracle_bounds_its_slots_with_binomial(monkeypatch):
 
     monkeypatch.setattr(qseries, "binomial", recording_binomial)
     assert euler_power_neg24_by_product(3) == (1, 24, 324, 3200)
-    # one bound per power on the chain E, E^2, E^3, E^6, E^12, E^24, j <= min(m, N)
-    assert calls == [(m, j) for m in (1, 2, 3, 6, 12, 24) for j in range(min(m, 3) + 1)]
+    # one bound per power on the chain E, E^2, E^3, E^6, E^12, j <= min(m, N);
+    # E^24 is sized off E^12 read back
+    assert calls == [(m, j) for m in (1, 2, 3, 6, 12) for j in range(min(m, 3) + 1)]
 
 
 def test_euler_power_24_matches_convolution_and_fits_each_power_in_its_slots():
-    # E^m sits in w_m-byte slots, w_m the least whose half exceeds
+    # E^m, m <= 12, sits in w_m-byte slots, w_m the least whose half exceeds
     # sum_{j <= min(m, N)} C(m, j) L^j; each truncated power must fit them, and
     # some N below needs every w_m whole, so a byte fewer in any slot misreads.
     needs_every_byte = set()
@@ -163,14 +164,66 @@ def test_euler_power_24_matches_convolution_and_fits_each_power_in_its_slots():
         powers = truncated_powers(e, 24)
         assert qseries._euler_power_24(e) == powers[24], N
         ell = sum(map(abs, e)) - 1
-        for m in (1, 2, 3, 6, 12, 24):
+        for m in (1, 2, 3, 6, 12):
             bound = sum(binomial(m, j) * ell**j for j in range(min(m, N) + 1))
             width = bound.bit_length() // 8 + 1
             largest = max(map(abs, powers[m]))
             assert largest <= bound and largest < 1 << 8 * width - 1, (N, m)
             if largest.bit_length() >= 8 * width - 8:
                 needs_every_byte.add(m)
-    assert needs_every_byte == {1, 2, 3, 6, 12, 24}
+    assert needs_every_byte == {1, 2, 3, 6, 12}
+
+
+def test_euler_power_24_sizes_its_square_off_the_twelfth_power():
+    # E^24 = (E^12)^2 sits in w-byte slots, w the least whose half exceeds
+    # sum_j a_j^2 over E^12 = sum_j a_j q^j truncated at q^N: by Cauchy-Schwarz
+    # that sum bounds every coefficient of the truncated square, and some N
+    # below needs the whole slot, so a byte fewer misreads.
+    needs_top_byte = []
+    for N in [*range(1, 61), 400]:
+        e = qseries._euler_product(N)
+        twelfth = truncated_powers(e, 12)[12]
+        tau = [sum(map(mul, twelfth[: k + 1], reversed(twelfth[: k + 1]))) for k in range(N + 1)]
+        assert qseries._euler_power_24(e) == tau, N
+        bound = sum(map(mul, twelfth, twelfth))
+        width = bound.bit_length() // 8 + 1
+        largest = max(map(abs, tau))
+        assert largest <= bound and largest < 1 << 8 * width - 1, N
+        if largest.bit_length() >= 8 * width - 8:
+            needs_top_byte.append(N)
+    assert needs_top_byte
+
+
+def test_euler_product_writes_down_the_factors_above_a_quarter(monkeypatch):
+    # With the top-down loop made a no-op, _euler_product(N) is what it writes
+    # down: the product of the factors 1 - q^n above m = N // 4, here built by
+    # plain list multiplication, and the -1 each factor n <= m puts at q^n.
+    monkeypatch.setattr(qseries, "sub", lambda x, y: x)
+    for N in range(1, 301):
+        m = N // 4
+        top = [1] + [0] * N
+        for n in range(m + 1, N + 1):
+            top[n:] = map(sub, top[n:], top[: N + 1 - n])
+        assert qseries._euler_product(N) == [1] + [-1] * m + top[m + 1 :], N
+
+
+def test_ramanujan_check_sieves_sigma_11_as_the_double_loop():
+    # tau(m) := sigma_11(m) from the double loop over every divisor must pass
+    # the check at each length N, so its pairs sieve agrees mod 691 at every
+    # m <= N; one value moved by 1 must fail, named by its m.
+    top = 3000
+    sigma11 = [0] * (top + 1)
+    for div in range(1, top + 1):
+        for m in range(div, top + 1, div):
+            sigma11[m] += div**11
+    lengths = [*range(1, 200), *(k * k + s for k in range(15, 55) for s in (-1, 0, 1)), top]
+    for N in lengths:
+        qseries._check_ramanujan_691(sigma11[1 : N + 1])
+    for m in (1, 2, 961, 2999, 3000):
+        moved = sigma11[1:]
+        moved[m - 1] += 1
+        with pytest.raises(ArithmeticError, match=rf"tau\({m}\) = sigma_11\({m}\)"):
+            qseries._check_ramanujan_691(moved)
 
 
 def test_product_oracle_checks_ramanujan_congruence(monkeypatch):
@@ -356,8 +409,9 @@ def test_build_steps_only_the_weights_in_reach(monkeypatch):
 
 
 def test_product_oracle_expands_from_the_top_factor_down(monkeypatch):
-    # Factor n meets only the factors above it, whose terms start at q^(n+1),
-    # so it subtracts N - 2n terms, and none once 2n >= N: a quarter of N^2.
+    # The factors above m = N // 4 are written down.  Each factor n <= m meets
+    # only the factors above it, whose terms start at q^(n+1), so it subtracts
+    # N - 2n terms: 3N^2 / 16 in all.
     subtractions = []
 
     def counting_sub(x, y):
@@ -366,7 +420,7 @@ def test_product_oracle_expands_from_the_top_factor_down(monkeypatch):
 
     monkeypatch.setattr(qseries, "sub", counting_sub)
     assert euler_power_neg24_by_product(60) == reference_600()[:61]
-    assert len(subtractions) == sum(60 - 2 * n for n in range(1, 30)) == 870
+    assert len(subtractions) == sum(60 - 2 * n for n in range(1, 16)) == 660
 
 
 def test_certificate_catches_a_wrong_jacobi_sign(monkeypatch):
