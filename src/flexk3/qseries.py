@@ -29,11 +29,11 @@ new top index by the logarithmic-derivative identity
 
     N a(N) = 24 * sum_{k=1}^{N} sigma(k) a(N-k),
 
-and raises ArithmeticError if it fails.  An independent oracle writes down
-the factors of E = prod (1 - q^n) above N / 4 and multiplies in the rest,
-takes E^24 by four products sized off E and a square sized off E^12, checks
-tau(m) = sigma_11(m) (mod 691) on it, and takes E^(-24) from E's nonzero
-terms by the same power rule, tied to E^24 at q^N: no series identity.
+and raises ArithmeticError if it fails.  An independent oracle expands
+E = prod (1 - q^n) by the number of factors chosen, takes E^24 by four
+products sized off E and a square sized off E^12, checks tau(m) = sigma_11(m)
+(mod 691) on it, and takes E^(-24) from E's nonzero terms by the same power
+rule, tied to E^24 at q^N: no Jacobi or pentagonal identity.
 
 This module also compares the flex multiples n_d against the Yau-Zaslow
 multiples (crossover) and checks both against their growth models
@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import add, itemgetter, mul, sub
+from itertools import accumulate
+from operator import add, itemgetter, mul
 
 from .exact import binomial, exact_div
 from .flexdeg import nd_closed
@@ -146,15 +147,17 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
 
 
 def _euler_product(N: int) -> list[int]:
-    """prod_{n <= N} (1 - q^n) truncated at q^N.  No four factors above m = N // 4 sum to
-    N or less: their product is 1 - sum_{m < k <= N} q^k, plus (k - 1) // 2 - m pairs at q^k for
-    k >= 2m + 3, minus the round(x^2 / 12) partitions of x = k - 3m - 3 >= 0 into three parts."""
-    m, e = N // 4, [1] + [-1] * N  # factor n puts -1 at q^n, where the factors above n have no term
-    e[2 * m + 3 :] = [i // 2 for i in range(N - 2 * m - 2)]  # q^k, k = 2m + 3 + i: -1 + (k - 1) // 2 - m
-    e[3 * m + 3 :] = [c - (x * x + 6) // 12 for x, c in enumerate(e[3 * m + 3 :])]  # minus the triples
-    for n in range(m, 0, -1):  # factors > n are in: q^(n+1)..q^(2n+2) hold -1
-        e[2 * n + 1 :] = map(sub, e[2 * n + 1 :], e[n + 1 : N + 1 - n])
-    return e
+    """prod_{n <= N} (1 - q^n) truncated at q^N, counted by the number j of factors chosen:
+    j distinct exponents less the staircase j, ..., 2, 1 are a partition into at most j parts, so
+    E = sum_j (-1)^j q^(j(j+1)/2) / ((1 - q)...(1 - q^j)), here by Horner's rule from J(J+1)/2 <= N
+    down: s <- (-1)^(j-1) + q^j s / (1 - q^j) cut at q^(N - j(j-1)/2), about N running sums."""
+    J = (math.isqrt(8 * N + 1) - 1) // 2
+    s = [(-1) ** J] + [0] * (N - J * (J + 1) // 2)
+    for j in range(J, 0, -1):
+        for r in range(j):  # s / (1 - q^j): a running sum along each residue class mod j
+            s[r::j] = accumulate(s[r::j])
+        s = [(-1) ** (j - 1)] + [0] * (j - 1) + s
+    return s
 
 
 def _euler_power_24(e: list[int]) -> list[int]:
@@ -222,27 +225,12 @@ def _check_ramanujan_691(tau: list[int]) -> None:
             raise ArithmeticError(f"product oracle fails tau({m}) = sigma_11({m}) mod 691")
 
 
-def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
-    """Same coefficients from the expanded product E = prod_{n <= N} (1 - q^n).
-
-    E comes from _euler_product (3N^2 / 16 small subtractions) and E^24, sum_n
-    tau(n+1) q^n, from _euler_power_24: E^m, m <= 12, is held in slots past
-    twice sum_{j <= min(m, N)} C(m, j) L^j, L = sum_k |e_k| - 1, and E^24 past
-    twice sum_j a_j^2 over E^12.  E^24 must pass Ramanujan's congruence mod 691.
-    E P' = -24 E' P (Miller's power rule) gives P = E^(-24) from E's own
-    nonzero terms e_k (32 to q^400),
-
-        n a(n) = -sum_{k >= 1, e_k != 0} e_k (n + 23 k) a(n - k),
-
-    one asserted exact division by n and a product per e_k in reach, 8,344
-    to q^400 (inverting E^24 took N^2 / 2); then sum_k tau(k+1) a(N-k) must
-    be 0.  Each failed check raises ArithmeticError; no series identity is used.
-    """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    e = _euler_product(N)
-    power = _euler_power_24(e)  # tau(n + 1) at index n
-    _check_ramanujan_691(power)
+def _power_rule_inverse(e: list[int], tau: list[int]) -> tuple[int, ...]:
+    """P = E^(-24) truncated at q^N, N = len(e) - 1.  E P' = -24 E' P (Miller's power rule)
+    gives n a(n) = -sum_{k >= 1, e_k != 0} e_k (n + 23 k) a(n - k) from E's own nonzero terms
+    (32 to q^400): one asserted exact division by n and a product per e_k in reach, 8,344 to q^400
+    (inverting E^24 took N^2 / 2).  P must meet E^24 = sum_n tau[n] q^n: sum_k tau[k] a(N-k) = 0."""
+    N = len(e) - 1
     ks, cs = zip(*[(k, c) for k, c in enumerate(e) if c][1:], (N + 1, 0))  # and one never in reach
     reads = [itemgetter(*[-k for k in ks[:j]]) for j in range(1, len(ks))]  # a(n - k_1..k_j)
     reads[0] = lambda seq: (seq[-1],)  # itemgetter(-1) returns a scalar
@@ -252,9 +240,25 @@ def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
             weights.append(cs[len(weights)] * (24 * n - 1))
         weights = list(map(add, weights, cs))
         a.append(-exact_div(sum(map(mul, weights, reads[len(weights) - 1](a))), n))
-    if sum(map(mul, power, reversed(a))):
+    if sum(map(mul, tau, reversed(a))):
         raise ArithmeticError(f"product oracle fails E^24 E^-24 = 1 at q^{N}")
     return tuple(a)
+
+
+def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
+    """Same coefficients from the expanded product E = prod_{n <= N} (1 - q^n).
+
+    E comes from _euler_product (O(N^(3/2)) C-level additions in sqrt(2N) levels), E^24 =
+    sum_n tau(n+1) q^n from _euler_power_24 (Kronecker products in slots sized off E and E^12)
+    and must pass Ramanujan's congruence mod 691, and _power_rule_inverse takes E^(-24) from
+    E's nonzero terms, tied to E^24 at q^N.  Each failed check raises ArithmeticError.
+    """
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    e = _euler_product(N)
+    power = _euler_power_24(e)  # tau(n + 1) at index n
+    _check_ramanujan_691(power)
+    return _power_rule_inverse(e, power)
 
 
 def yz_multiple(d: int) -> int:

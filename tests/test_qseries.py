@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import accumulate
 from operator import add, mul, sub
 
 import pytest
@@ -194,17 +195,43 @@ def test_euler_power_24_sizes_its_square_off_the_twelfth_power():
     assert needs_top_byte
 
 
-def test_euler_product_writes_down_the_factors_above_a_quarter(monkeypatch):
-    # With the top-down loop made a no-op, _euler_product(N) is what it writes
-    # down: the product of the factors 1 - q^n above m = N // 4, here built by
-    # plain list multiplication, and the -1 each factor n <= m puts at q^n.
-    monkeypatch.setattr(qseries, "sub", lambda x, y: x)
-    for N in range(1, 301):
-        m = N // 4
-        top = [1] + [0] * N
-        for n in range(m + 1, N + 1):
-            top[n:] = map(sub, top[n:], top[: N + 1 - n])
-        assert qseries._euler_product(N) == [1] + [-1] * m + top[m + 1 :], N
+@cache
+def factor_expansion_2000() -> list[int]:
+    """prod_{n <= 2000} (1 - q^n) truncated at q^2000, one factor at a time by
+    plain list subtraction; its first N + 1 terms are the product to q^N."""
+    e = [1] + [0] * 2000
+    for n in range(1, 2001):
+        e[n:] = map(sub, e[n:], e[: 2001 - n])
+    return e
+
+
+def test_euler_product_is_the_factor_by_factor_expansion():
+    # Counting the choices of j distinct factors by the staircase j, ..., 1
+    # must give the product itself at every truncation.
+    for N in [*range(1, 301), 400, 1000, 2000]:
+        assert qseries._euler_product(N) == factor_expansion_2000()[: N + 1], N
+
+
+def test_euler_product_divides_level_by_level(monkeypatch):
+    # Level j, from J (J(J+1)/2 <= N) down to 1, divides a series cut at
+    # q^(N - j(j+1)/2) by 1 - q^j, one running sum along each residue class
+    # mod j: J levels, J(J+1)/2 strided passes, 339 additions at q^60 and
+    # 6,799 at q^400, about (2 sqrt(2) / 3) N^(3/2).
+    passes = []
+
+    def recording_accumulate(seq):
+        passes.append(len(seq))
+        return accumulate(seq)
+
+    monkeypatch.setattr(qseries, "accumulate", recording_accumulate)
+    for N, J, additions in ((60, 10, 339), (400, 27, 6799)):
+        passes.clear()
+        assert qseries._euler_product(N) == factor_expansion_2000()[: N + 1], N
+        assert J * (J + 1) // 2 <= N < (J + 1) * (J + 2) // 2
+        cut = {j: N - j * (j + 1) // 2 for j in range(1, J + 1)}
+        assert passes == [len(range(r, cut[j] + 1, j)) for j in range(J, 0, -1) for r in range(j)]
+        assert len(passes) == J * (J + 1) // 2
+        assert sum(max(length - 1, 0) for length in passes) == additions
 
 
 def test_ramanujan_check_sieves_sigma_11_as_the_double_loop():
@@ -406,21 +433,6 @@ def test_build_steps_only_the_weights_in_reach(monkeypatch):
     assert euler_power_neg24(300) == reference_600()[:301]
     in_reach = sum(len(qseries._jacobi_cube_terms(n)) for n in range(1, 301))
     assert len(additions) == in_reach == 4624
-
-
-def test_product_oracle_expands_from_the_top_factor_down(monkeypatch):
-    # The factors above m = N // 4 are written down.  Each factor n <= m meets
-    # only the factors above it, whose terms start at q^(n+1), so it subtracts
-    # N - 2n terms: 3N^2 / 16 in all.
-    subtractions = []
-
-    def counting_sub(x, y):
-        subtractions.append(None)
-        return sub(x, y)
-
-    monkeypatch.setattr(qseries, "sub", counting_sub)
-    assert euler_power_neg24_by_product(60) == reference_600()[:61]
-    assert len(subtractions) == sum(60 - 2 * n for n in range(1, 16)) == 660
 
 
 def test_certificate_catches_a_wrong_jacobi_sign(monkeypatch):

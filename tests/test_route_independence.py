@@ -51,6 +51,7 @@ CONTRACT = {
     "qseries._euler_product": {"oracle"},
     "qseries._euler_power_24": {"oracle"},
     "qseries._check_ramanujan_691": {"oracle"},
+    "qseries._power_rule_inverse": {"oracle"},
     "exact.binomial": {"oracle"},
 }
 
