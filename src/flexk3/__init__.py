@@ -7,6 +7,8 @@ and Schubert-calculus intersection numbers), cross-validates them, and
 compares the result against the Yau-Zaslow rational-curve multiples.
 """
 
+import types
+
 from .exact import binomial, catalan, exact_div
 from .flexdeg import (
     FlexReport,
@@ -34,27 +36,6 @@ from .truncpoly import chern_total
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymReport",
-    "CrossoverReport",
-    "CrossoverRow",
-    "FlexReport",
-    "asym_flex",
-    "asym_yz",
-    "binomial",
-    "catalan",
-    "chern_total",
-    "cross_check",
-    "crossover",
-    "euler_power_neg24",
-    "euler_power_neg24_by_product",
-    "exact_div",
-    "flex_report",
-    "monomial_integral",
-    "nd_chern_monomial",
-    "nd_chern_schubert",
-    "nd_closed",
-    "nd_double_sum",
-    "nd_factorial",
-    "yz_multiple",
-]
+# Every public global but the modules, so each name is written once, in its import.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

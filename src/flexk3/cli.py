@@ -178,20 +178,11 @@ def cmd_asym(args: SimpleNamespace) -> int:
     return 0
 
 
-def _check_double_sum() -> None:
-    """The printed double sum is -n_d and resolves to n_d for d <= 120."""
-    for d in range(1, 121):
-        raw, resolved = flexdeg.nd_double_sum(d)
-        target = flexdeg.nd_closed(d)
-        if raw != -target or resolved != target:
-            raise AssertionError(f"d={d}: raw={raw} resolved={resolved}, want -{target}, {target}")
-
-
 def _check_five_way() -> None:
-    """The five routes give the same n_d for d <= 120."""
+    """The five routes give the same n_d, and the printed double sum -n_d, for d <= 120."""
     for report in flexdeg.cross_check(1, 120):
-        if not report.agree:
-            raise AssertionError(f"methods disagree at d={report.d}: {report}")
+        if not report.agree or report.n_sum_raw != -report.n_sum_resolved:
+            raise AssertionError(f"methods disagree or raw != -n_d at d={report.d}: {report}")
 
 
 def _check_pieri_integral() -> None:
@@ -238,7 +229,6 @@ def _check_examples() -> None:
 
 
 SELFTEST_CHECKS: list[tuple[str, Callable[[], None]]] = [
-    ("double-sum", _check_double_sum),
     ("five-way", _check_five_way),
     ("pieri-integral", _check_pieri_integral),
     ("qseries-product", _check_qseries_product),

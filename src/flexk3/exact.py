@@ -46,8 +46,7 @@ def _exact_div_short(a: int, b: int) -> int:
     divides a > 0, the floor of (a >> s) / (b >> s), s = 2 len(b) - len(a) - 2, lies
     in [R, R + R/(b >> s)) with b >> s >= 2^(len(a) - len(b) + 1) > R, so it is R;
     q b == a asserts that, else exact_div raises.  An O(len(R)^2) division and one
-    Karatsuba product replace O(len(R) len(b)) schoolbook steps, with no size cutoff:
-    route 2's operands at d <= 250 cost 0.2-2 us, within 0.15 us of divmod."""
+    Karatsuba product replace O(len(R) len(b)) schoolbook steps."""
     s = 2 * b.bit_length() - a.bit_length() - 2
     if s < 0 or not 0 < b <= a:
         return exact_div(a, b)
@@ -59,9 +58,7 @@ def _central_binomial(d: int) -> int:
     """C(2d, d) for d >= 0 as the product of p**e_p over the primes p <= 2d (Legendre).
 
     The primes are read off a sieve of the odd numbers below 2d made for this
-    call: [i] is 1 just when 2i + 1 is prime, for i < d.  That costs 7-12 us more
-    than a kept sieve at d = 512-2000 (42 against 35 us at 512) and within 4%
-    from d = 2*10^4 on, and leaves the module nothing to keep.  Past sqrt(2d),
+    call: [i] is 1 just when 2i + 1 is prime, for i < d.  Past sqrt(2d),
     e_p = floor(2d/p) mod 2 and floor(2d/p) = m on (2d/(m+1), 2d/m], so the odd
     m give O(sqrt(d)) slices of the sieve read out at C level, their primes
     multiplied 16 at a time by math.prod, then by a balanced tree.

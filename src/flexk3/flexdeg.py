@@ -42,6 +42,12 @@ The step has no box; the box d only picks which coefficient is read.
 The printed double sum is -n_d.  Route 3 checks that sign once against the
 literals n_1..n_5 = 3, 20, 175, 1764, 19404 and then returns -raw; any other
 value at d = 1..5 raises ArithmeticError, flagging the build as broken.
+
+Routes 3, 4 and 5 add up the same d terms, whose sum is -n_d: with
+c = chern_total(d), route 3's l-th term is c_(d-l) C(l), the Catalan number
+C(l) that route 5's Pieri column also holds.  They differ only in how each
+term is made: one merged ratio, c times a stepped Catalan column, or c times
+a Pieri walk.
 """
 
 from __future__ import annotations
@@ -131,9 +137,8 @@ def _double_sum_raw(d: int) -> int:
     one product of the big term by a small factor and one asserted exact
     division by l(l+2) <= d^2 - 1, below 2^30 (one CPython digit) for
     d <= 32,768: O(d^2) bit operations in all (0.03 s at d = 4000, 0.11 s
-    at d = 8000).  Stepping the three factors apart and multiplying them at
-    every term cost O(d M(d)), M(d) one product of O(d)-bit integers (0.44 s
-    and 2.9 s); the printed double sum costs O(d^2 M(d)).
+    at d = 8000), where the printed double sum costs O(d^2 M(d)), M(d) one
+    product of O(d)-bit integers.
     """
     total = term = comb(2 * d, d - 1) * (-2 * d - 1 if d % 2 else 2 * d + 1)  # l = 1
     for ell in range(1, d):
@@ -190,7 +195,7 @@ def nd_chern_schubert(d: int) -> int:
     sigma2^(d-j) = s_(d-j,d-j) to s_(d,d) never leaves the box (its first row
     only grows, to d) and is one from s_(0,0) to s_(j,j) moved d-j columns.
     So one unboxed walk, kept by the process, gives them: 2d sigma1 steps cold,
-    and 2D, O(D^2) additions, over d = 1..D, where a sweep per d made O(D^3).
+    and 2D, O(D^2) additions, over d = 1..D.
     """
     _require_positive(d)
     return -sum(map(mul, chern_total(d), _sigma1_column(d)[d:0:-1]))

@@ -228,8 +228,8 @@ def _check_ramanujan_691(tau: list[int]) -> None:
 def _power_rule_inverse(e: list[int], tau: list[int]) -> tuple[int, ...]:
     """P = E^(-24) truncated at q^N, N = len(e) - 1.  E P' = -24 E' P (Miller's power rule)
     gives n a(n) = -sum_{k >= 1, e_k != 0} e_k (n + 23 k) a(n - k) from E's own nonzero terms
-    (32 to q^400): one asserted exact division by n and a product per e_k in reach, 8,344 to q^400
-    (inverting E^24 took N^2 / 2).  P must meet E^24 = sum_n tau[n] q^n: sum_k tau[k] a(N-k) = 0."""
+    (32 to q^400): one asserted exact division by n and a product per e_k in reach, 8,344 to q^400.
+    P must meet E^24 = sum_n tau[n] q^n: sum_k tau[k] a(N-k) = 0."""
     N = len(e) - 1
     ks, cs = zip(*[(k, c) for k, c in enumerate(e) if c][1:], (N + 1, 0))  # and one never in reach
     reads = [itemgetter(*[-k for k in ks[:j]]) for j in range(1, len(ks))]  # a(n - k_1..k_j)

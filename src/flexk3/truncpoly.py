@@ -6,9 +6,9 @@ Routes 4 and 5 of flexdeg pair sigma1 against one graded part of
 
 over the Grassmannian, where s1 (degree 1) and s2 (degree 2) stand for
 the Schubert generators sigma1, sigma2.  That part has a closed form, one
-product of two binomials per monomial, walked by its term ratio, so no
-polynomial ring is built: chern_total(d) costs one binomial and d - 1
-asserted exact divisions, each by an integer below 2^30 for d <= 23,170.
+product of two binomials per monomial, walked by its term ratio:
+chern_total(d) costs one binomial and d - 1 asserted exact divisions,
+each by an integer below 2^30 for d <= 23,170.
 """
 
 from __future__ import annotations

@@ -229,11 +229,26 @@ def test_selftest_names_failing_check(capsys, monkeypatch):
     def broken():
         raise AssertionError("sign unresolved")
 
-    patched = [("double-sum", broken)] + cli.SELFTEST_CHECKS[1:]
+    patched = [("double-sum", broken), *cli.SELFTEST_CHECKS]
     monkeypatch.setattr(cli, "SELFTEST_CHECKS", patched)
     code, out = run_cli(capsys, "selftest")
     assert code == 1
     assert "FAIL double-sum" in out
+    assert "PASS five-way" in out
+
+
+@pytest.mark.parametrize("d", [1, 57, 120])
+def test_five_way_fails_on_a_raw_double_sum_off_by_one(monkeypatch, d):
+    real = flexdeg.nd_double_sum
+
+    def raw_off_at_d(n):
+        raw, resolved = real(n)
+        return (raw + 1, resolved) if n == d else (raw, resolved)
+
+    monkeypatch.setattr(flexdeg, "nd_double_sum", raw_off_at_d)
+    name, status, _, detail = cli.run_check("five-way", cli._check_five_way)
+    assert (name, status) == ("five-way", "FAIL")
+    assert f"at d={d}: " in detail
 
 
 def test_example_check_failure_names_the_identity(monkeypatch):

@@ -50,7 +50,7 @@ STDOUT = [
     ("asym -d 40 --kind yz --format csv", 0, "932fa370c7d27d2a"),
     ("asym -d 40 --kind both --format json", 0, "0290773edbff8844"),
     ("asym -d 40", 0, "51f06ef7b005a0ec"),
-    ("selftest", 0, "c0f4906e7a52ad38"),
+    ("selftest", 0, "7580ea0866e255cc"),
 ]
 
 USAGE_ERRORS = [

@@ -22,6 +22,17 @@ def test_import_star_resolves_every_exported_name():
         assert getattr(flexk3, name) is namespace[name]
 
 
+def test_public_names_are_the_documented_ones():
+    # __all__ is read off the imports, so a name imported by accident shows only here
+    assert flexk3.__all__ == [
+        "AsymReport", "CrossoverReport", "CrossoverRow", "FlexReport",
+        "asym_flex", "asym_yz", "binomial", "catalan", "chern_total", "cross_check",
+        "crossover", "euler_power_neg24", "euler_power_neg24_by_product", "exact_div",
+        "flex_report", "monomial_integral", "nd_chern_monomial", "nd_chern_schubert",
+        "nd_closed", "nd_double_sum", "nd_factorial", "yz_multiple",
+    ]
+
+
 def test_every_public_name_is_exported():
     public = [
         name
