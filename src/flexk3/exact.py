@@ -26,18 +26,28 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _show(x: int) -> int | str:
+    """x for a failure message, or past 1000 bits "a B-bit integer": a decimal form
+    costs quadratic time and, past 4300 digits, raises ValueError by default."""
+    return x if -(1 << 1000) < x < 1 << 1000 else f"a {x.bit_length()}-bit integer"
+
+
+def _require_at_least(value: int, low: int, name: str = "d") -> None:
+    """Raise ValueError unless value >= low (1 or 0), in the words of the CLI's checks."""
+    if value < low:
+        need = "a positive integer" if low else "nonnegative"
+        raise ValueError(f"{name} must be {need}, got {_show(value)}")
+
+
 def exact_div(a: int, b: int) -> int:
     """Integer quotient a // b, raising ArithmeticError unless b divides a.
 
     Used wherever a formula is an integer for structural reasons; an inexact
-    division here means an arithmetic bug, not bad input.  The message names
-    an operand past 1000 bits by its bit length: its decimal form costs
-    quadratic time and, past 4300 digits, raises ValueError by default.
+    division here means an arithmetic bug, not bad input.
     """
     q, r = divmod(a, b)
     if r:
-        b, a = (x if x.bit_length() <= 1000 else f"a {x.bit_length()}-bit integer" for x in (b, a))
-        raise ArithmeticError(f"expected {b} to divide {a} exactly")
+        raise ArithmeticError(f"expected {_show(b)} to divide {_show(a)} exactly")
     return q
 
 
@@ -87,6 +97,5 @@ def catalan(d: int) -> int:
     below PRIME_ROUTE_MIN_D, where the prime route costs more (11 against 0.09 us
     at d = 33, 1.09-1.20x at 512; the two cross at d = 516-520, within the
     timings' spread), and _central_binomial from there on."""
-    if d < 0:
-        raise ValueError(f"catalan of negative integer {d}")
+    _require_at_least(d, 0)
     return exact_div(_central_binomial(d) if d >= PRIME_ROUTE_MIN_D else math.comb(2 * d, d), d + 1)

@@ -57,7 +57,7 @@ from functools import lru_cache
 from math import comb, factorial, perm
 from operator import mul
 
-from .exact import _exact_div_short, catalan, exact_div
+from .exact import _exact_div_short, _require_at_least, _show, catalan, exact_div
 from .schubert import _sigma1_column, monomial_integral
 from .truncpoly import chern_total
 
@@ -78,17 +78,12 @@ A tuple: it unpacks and compares as one, and _fields names its columns
 in order, the header of `flexk3 table`."""
 
 
-def _require_positive(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-
-
 @lru_cache(maxsize=32, typed=True)
 def nd_closed(d: int) -> int:
     """(2d + 1) * C(d)^2.  The process keeps the last 32 distinct d, about 16 D bytes for
     d <= D (nd_closed.cache_info() counts the hits), so asym_flex, crossover and flex_report
     after nd_closed(d) read one build of C(d); typed keeps nd_closed(5.0) a TypeError."""
-    _require_positive(d)
+    _require_at_least(d, 1)
     return (2 * d + 1) * catalan(d) ** 2
 
 
@@ -106,7 +101,7 @@ def nd_factorial(d: int) -> int:
     With no binomial, Catalan number or cancellation, it shares nothing with
     nd_closed.
     """
-    _require_positive(d)
+    _require_at_least(d, 1)
     root = _exact_div_short(perm(2 * d, d), factorial(d + 1))
     return (2 * d + 1) * root * root
 
@@ -162,7 +157,7 @@ def _double_sum_sign() -> int:
 
 def nd_double_sum(d: int) -> tuple[int, int]:
     """Return (raw, resolved): the printed sum and the sign-corrected value."""
-    _require_positive(d)
+    _require_at_least(d, 1)
     raw = _double_sum_raw(d)
     return raw, _double_sum_sign() * raw
 
@@ -174,16 +169,15 @@ def nd_chern_monomial(d: int) -> int:
     s2^n contributing c_n times the integral of s1^(2d-2n) s2^n, C(d-n): C(d)
     = monomial_integral(2d, 0, d), stepped by C(h-1) = C(h) (h+1)/(2(2h-1)),
     exact divisions that must end at C(0) = 1, else ArithmeticError.  The start
-    is nd_factorial's root by the same call, as both are C(d) by design.
+    is nd_factorial's root by the same call, as both are C(d) by design; it refuses d < 1.
     """
-    _require_positive(d)
     integral = monomial_integral(2 * d, 0, d)
     total = 0
     for h, coef in zip(range(d, 0, -1), chern_total(d)):
         total += coef * integral
         integral = exact_div(integral * (h + 1), 2 * (2 * h - 1))
     if integral != 1:
-        raise ArithmeticError(f"Catalan column of d={d} ends at {integral}, not C(0) = 1")
+        raise ArithmeticError(f"Catalan column of d={d} ends at {_show(integral)}, not C(0) = 1")
     return -total
 
 
@@ -195,9 +189,8 @@ def nd_chern_schubert(d: int) -> int:
     sigma2^(d-j) = s_(d-j,d-j) to s_(d,d) never leaves the box (its first row
     only grows, to d) and is one from s_(0,0) to s_(j,j) moved d-j columns.
     So one unboxed walk, kept by the process, gives them: 2d sigma1 steps cold,
-    and 2D, O(D^2) additions, over d = 1..D.
+    and 2D, O(D^2) additions, over d = 1..D.  chern_total refuses d < 1.
     """
-    _require_positive(d)
     return -sum(map(mul, chern_total(d), _sigma1_column(d)[d:0:-1]))
 
 
@@ -213,7 +206,7 @@ def flex_report(d: int) -> FlexReport:
 
 def cross_check(d_lo: int, d_hi: int) -> list[FlexReport]:
     """Reports for d in [d_lo, d_hi]; raises ValueError on a bad range."""
-    _require_positive(d_lo)
+    _require_at_least(d_lo, 1)
     if d_hi < d_lo:
         raise ValueError(f"empty range [{d_lo}, {d_hi}]")
     return [flex_report(d) for d in range(d_lo, d_hi + 1)]

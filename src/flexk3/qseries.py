@@ -52,7 +52,7 @@ from collections import namedtuple
 from itertools import accumulate
 from operator import add, itemgetter, mul
 
-from .exact import binomial, exact_div
+from .exact import _require_at_least, binomial, exact_div
 from .flexdeg import nd_closed
 
 AsymReport = namedtuple("AsymReport", "d log_exact log_model log_ratio")
@@ -77,8 +77,7 @@ because the two notions of "switch" need not land on the same d."""
 
 def divisor_sums(N: int) -> list[int]:
     """sigma(k) = sum of divisors of k, for k = 0..N, by sieve; sigma(0) = 0."""
-    if N < 0:
-        raise ValueError(f"negative bound {N}")
+    _require_at_least(N, 0, "N")
     sums = [0] * (N + 1)
     for d in range(1, math.isqrt(N) + 1):  # k = d q <= N with d <= q gains d and q
         sums[d * d] += d  # q = d, counted once
@@ -124,8 +123,7 @@ def euler_power_neg24(N: int) -> tuple[int, ...]:
     full build, and a rising run of requests extends O(log N) times.
     """
     global _longest
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
+    _require_at_least(N, 1, "N")
     if N >= len(_longest):
         top = max(N, len(_longest) * 5 // 4)
         a = list(_longest) or [1]
@@ -253,8 +251,7 @@ def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
     and must pass Ramanujan's congruence mod 691, and _power_rule_inverse takes E^(-24) from
     E's nonzero terms, tied to E^24 at q^N.  Each failed check raises ArithmeticError.
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
+    _require_at_least(N, 1, "N")
     e = _euler_product(N)
     power = _euler_power_24(e)  # tau(n + 1) at index n
     _check_ramanujan_691(power)
@@ -263,8 +260,7 @@ def euler_power_neg24_by_product(N: int) -> tuple[int, ...]:
 
 def yz_multiple(d: int) -> int:
     """Yau-Zaslow multiple for degree 2d: the coefficient a(d+1)."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _require_at_least(d, 1)
     return euler_power_neg24(d + 1)[d + 1]
 
 
@@ -305,8 +301,7 @@ def crossover(max_d: int) -> CrossoverReport:
     16^d, yz_d only like e^(4 pi sqrt(d))).  A failed check raises
     ArithmeticError since it would mean an arithmetic bug.
     """
-    if max_d < 1:
-        raise ValueError(f"max_d must be positive, got {max_d}")
+    _require_at_least(max_d, 1, "max_d")
     flex_column = [3]
     for d in range(1, max_d):
         flex_column.append(exact_div(flex_column[-1] * ((8 * d + 4) * (2 * d + 3)), (d + 2) ** 2))

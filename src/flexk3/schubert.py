@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import factorial, perm
 from operator import add
 
-from .exact import _exact_div_short
+from .exact import _exact_div_short, _require_at_least
 
 
 def monomial_integral(m: int, n: int, d: int) -> int:
@@ -46,10 +46,9 @@ def monomial_integral(m: int, n: int, d: int) -> int:
     It is the falling factorial perm(m, m/2) = m!/(m/2)! over (m/2 + 1)!, one
     division at the size of its quotient: nd_factorial's root, as both are C(m/2).
     """
-    if d < 1:
-        raise ValueError(f"box size must be positive, got {d}")
-    if m < 0 or n < 0:
-        raise ValueError(f"negative exponents ({m}, {n})")
+    _require_at_least(d, 1)
+    _require_at_least(m, 0, "m")
+    _require_at_least(n, 0, "n")
     if m + 2 * n != 2 * d:
         raise ValueError(f"degree {m} + 2*{n} != 2*{d}, not a top-degree monomial")
     h = m // 2

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .exact import exact_div
+from .exact import _require_at_least, exact_div
 
 
 @lru_cache(maxsize=1)
@@ -35,8 +35,7 @@ def chern_total(d: int) -> tuple[int, ...]:
     asserted exact division by at most 2(d^2-1) < 2^30, one CPython digit, for
     d <= 23,170.  The last d is cached: flex_report reads it once per Chern route.
     """
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _require_at_least(d, 1)
     coefs = [-comb(3 * d, 2 * d - 1)]
     for n in range(d - 1):
         b = 2 * d - 1 - 2 * n

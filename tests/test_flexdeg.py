@@ -28,6 +28,7 @@ from flexk3.flexdeg import (
     nd_factorial,
 )
 from flexk3.schubert import _sigma1_column, _sigma1_step, monomial_integral
+from flexk3.truncpoly import chern_total
 
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
 
@@ -119,6 +120,21 @@ def test_pascal_sweep_matches_comb_form_d200():
 @example(300)
 def test_one_ratio_sweep_matches_comb_form(d):
     assert _double_sum_raw(d) == double_sum_by_comb(d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 400))
+@example(600)
+def test_routes_3_4_5_add_the_same_terms(d):
+    # route 3's l-th term after its Chu-Vandermonde step, by math.comb, is route 4's
+    # c_(d-l) C(l) and route 5's c_(d-l) times its Pieri column: chern_total term by term
+    c, column = chern_total(d), _sigma1_column(d)
+    for ell in range(1, d + 1):
+        catalan_l = comb(2 * ell, ell) // (ell + 1)
+        route3 = comb(2 * d + 1 - ell, d - ell) * comb(2 * d + ell, 2 * ell - 1) * catalan_l
+        route3 *= (-1) ** (d - ell + 1)
+        assert route3 == c[d - ell] * catalan_l, f"route 4's term differs at d={d}, l={ell}"
+        assert route3 == c[d - ell] * column[ell], f"route 5's term differs at d={d}, l={ell}"
 
 
 def test_closed_inner_sum_matches_pascal_sweep():
@@ -228,6 +244,14 @@ def test_chern_monomial_checks_its_catalan_column(monkeypatch, wrong, message):
     with pytest.raises(ArithmeticError, match=message):
         nd_chern_monomial(5)
     assert calls == [(10, 0, 5)]
+
+
+def test_chern_monomial_names_a_huge_column_end_by_its_bits(monkeypatch):
+    # an anchor 10^5000 times C(d) passes every ratio step and ends at 10^5000; past
+    # 4300 digits str() raises ValueError by default, so the message gives its size
+    monkeypatch.setattr(flexdeg, "monomial_integral", lambda m, n, d: catalan(m // 2) * 10**5000)
+    with pytest.raises(ArithmeticError, match=r"ends at a 16610-bit integer, not C\(0\) = 1$"):
+        nd_chern_monomial(5)
 
 
 def test_chern_schubert_matches_table():

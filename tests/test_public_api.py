@@ -1,10 +1,12 @@
-"""The package's public surface: every exported name exists."""
+"""The package's public surface: every exported name exists, and every entry
+refuses an integer below its floor in one of two wordings."""
 
 from __future__ import annotations
 
 import importlib
 import pickle
 import pkgutil
+import re
 import types
 import typing
 
@@ -40,6 +42,37 @@ def test_every_public_name_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(public) == sorted(flexk3.__all__)
+
+
+POSITIVE_D = "d must be a positive integer, got 0"
+
+# every public entry one below its floor: d >= 1 for n_d (L^2 = 2d), N >= 0 for a(N)
+REFUSALS = [
+    *((getattr(flexk3, name), (0,), POSITIVE_D) for name in (
+        "nd_closed", "nd_factorial", "nd_double_sum", "nd_chern_monomial", "nd_chern_schubert",
+        "flex_report", "asym_flex", "asym_yz", "yz_multiple", "chern_total")),
+    (flexk3.cross_check, (0, 3), POSITIVE_D),
+    (flexk3.catalan, (-1,), "d must be nonnegative, got -1"),
+    (qseries.divisor_sums, (-1,), "N must be nonnegative, got -1"),
+    (flexk3.euler_power_neg24, (0,), "N must be a positive integer, got 0"),
+    (flexk3.euler_power_neg24_by_product, (0,), "N must be a positive integer, got 0"),
+    (flexk3.crossover, (0,), "max_d must be a positive integer, got 0"),
+    (flexk3.monomial_integral, (2, 0, 0), POSITIVE_D),
+    (flexk3.monomial_integral, (-2, 2, 1), "m must be nonnegative, got -2"),
+    (flexk3.monomial_integral, (4, -1, 1), "n must be nonnegative, got -1"),
+    # past 4300 digits str() raises ValueError by default: the value is named by its size
+    (flexk3.catalan, (-(1 << 5000),), "d must be nonnegative, got a 5001-bit integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    REFUSALS,
+    ids=[function.__name__ for function, _, _ in REFUSALS],
+)
+def test_every_entry_refuses_below_its_floor_in_one_wording(function, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(*args)
 
 
 # record, defining module, exact _fields, first docstring line, a value made by the package

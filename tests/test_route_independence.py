@@ -28,7 +28,7 @@ ANY = frozenset(ND_ROUTES) | frozenset(Q_ROUTES)
 CONTRACT = {
     "exact.exact_div": ANY,
     "exact._exact_div_short": ANY,
-    "flexdeg._require_positive": ANY,
+    "exact._require_at_least": ANY,
     "math.comb": ANY - {"factorial"},  # route 2 takes no binomial
     "truncpoly.chern_total": {"monomial", "schubert"},
     "flexdeg.nd_closed": {"closed"},
