@@ -208,6 +208,6 @@ def cross_check(d_lo: int, d_hi: int) -> list[FlexReport]:
     """Reports for d in [d_lo, d_hi]; raises ValueError on a bad range."""
     _require_at_least(d_lo, 1)
     if d_hi < d_lo:
-        raise ValueError(f"empty range [{d_lo}, {d_hi}]")
+        raise ValueError(f"empty range [{_show(d_lo)}, {_show(d_hi)}]")
     return [flex_report(d) for d in range(d_lo, d_hi + 1)]
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from math import factorial, perm
 from operator import add
 
-from .exact import _exact_div_short, _require_at_least
+from .exact import _exact_div_short, _require_at_least, _show
 
 
 def monomial_integral(m: int, n: int, d: int) -> int:
@@ -50,7 +50,9 @@ def monomial_integral(m: int, n: int, d: int) -> int:
     _require_at_least(m, 0, "m")
     _require_at_least(n, 0, "n")
     if m + 2 * n != 2 * d:
-        raise ValueError(f"degree {m} + 2*{n} != 2*{d}, not a top-degree monomial")
+        raise ValueError(
+            f"degree {_show(m)} + 2*{_show(n)} != 2*{_show(d)}, not a top-degree monomial"
+        )
     h = m // 2
     return _exact_div_short(perm(m, h), factorial(h + 1))
 

@@ -19,9 +19,10 @@ import pytest
 from flexk3 import cli
 from flexk3.exact import catalan
 from flexk3.flexdeg import nd_double_sum, nd_factorial
-from flexk3.qseries import asym_flex, asym_yz, euler_power_neg24, euler_power_neg24_by_product
+from flexk3.qseries import asym_flex, asym_yz
 
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
+ROUTE_COLUMNS = ("n_closed", "n_factorial", "n_sum_resolved", "n_chern_monomial", "n_chern_schubert")
 
 # Seconds allowed per registry check, one entry for each check and no other.
 SELFTEST_BUDGETS = {
@@ -42,17 +43,21 @@ def test_flex_table_reproduction(capsys):
     code = cli.main(["table", "--from", "1", "--to", "9", "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0
+    assert out.splitlines()[0] == (
+        "d,n_closed,n_factorial,n_sum_raw,n_sum_resolved,n_chern_monomial,n_chern_schubert,agree"
+    )
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 9
-    for row, expected in zip(rows, ND_FIRST_NINE):
-        for field in ("n_closed", "n_factorial", "n_sum_resolved",
-                      "n_chern_monomial", "n_chern_schubert"):
-            assert row[field] == str(expected)
-        assert row["agree"] == "true"
+    for d, (row, n_d) in enumerate(zip(rows, ND_FIRST_NINE), start=1):
+        # every column of the exact header: each route's n_d, and the raw double sum -n_d
+        expected = dict.fromkeys(ROUTE_COLUMNS, str(n_d))
+        expected.update(d=str(d), n_sum_raw=str(-n_d), agree="true")
+        for column, value in expected.items():
+            assert row[column] == value, f"{column} at d={d}: {row[column]} != {value}"
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     announce(capsys, "flex-table-reproduction",
-             "nine rows exact in every method column, agree=true", elapsed, 5)
+             "nine rows exact in every column, raw double sum -n_d, agree=true", elapsed, 5)
 
 
 def test_catalan_identity_d1000(capsys):
@@ -77,18 +82,6 @@ def test_double_sum_sign_and_table(capsys):
     announce(capsys, "double-sum-sign",
              "raw d=1 value is -3; resolved values match the table for d=1..9",
              elapsed, 5)
-
-
-def test_qseries_oracle(capsys):
-    start = time.monotonic()
-    series = euler_power_neg24(200)
-    assert series == euler_power_neg24_by_product(200)
-    assert (series[0], series[1], series[2]) == (1, 24, 324)
-    elapsed = time.monotonic() - start
-    assert elapsed < 30.0
-    announce(capsys, "qseries-oracle",
-             "recurrence equals truncated product through q^200; a(0..2) = 1, 24, 324",
-             elapsed, 30)
 
 
 def test_crossover_report(capsys):
@@ -120,10 +113,12 @@ def test_asymptotics(capsys):
     assert flex_magnitudes == sorted(flex_magnitudes, reverse=True)
     yz_report = asym_yz(1000)
     assert abs(yz_report.log_ratio) / yz_report.log_exact < 0.02
+    yz_magnitudes = [abs(asym_yz(d).log_ratio) for d in (100, 400, 900)]
+    assert yz_magnitudes == sorted(yz_magnitudes, reverse=True)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     announce(capsys, "asymptotics",
-             "flex model within 0.01 at d=500 and shrinking; yz model within 2% at d=1000",
+             "flex model within 0.01 at d=500, yz within 2% at d=1000, both shrinking",
              elapsed, 120)
 
 

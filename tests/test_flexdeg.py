@@ -33,21 +33,6 @@ from flexk3.truncpoly import chern_total
 ND_FIRST_NINE = [3, 20, 175, 1764, 19404, 226512, 2760615, 34763300, 449141836]
 
 
-def test_closed_matches_table():
-    assert [nd_closed(d) for d in range(1, 10)] == ND_FIRST_NINE
-
-
-def test_factorial_matches_table():
-    assert [nd_factorial(d) for d in range(1, 10)] == ND_FIRST_NINE
-
-
-def test_double_sum_raw_sign_discrepancy():
-    # the printed expression comes out negative; the resolved value flips it
-    raw, resolved = nd_double_sum(1)
-    assert raw == -3
-    assert resolved == 3
-
-
 @pytest.mark.parametrize(
     "wrong, named",
     [
@@ -207,17 +192,6 @@ def test_factorial_takes_no_binomial_or_catalan(monkeypatch):
     assert {d: nd_factorial(d) for d in expected} == expected
 
 
-def test_double_sum_matches_table():
-    for d, expected in enumerate(ND_FIRST_NINE, start=1):
-        raw, resolved = nd_double_sum(d)
-        assert resolved == expected
-        assert raw == -expected
-
-
-def test_chern_monomial_matches_table():
-    assert [nd_chern_monomial(d) for d in range(1, 10)] == ND_FIRST_NINE
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 57, 1000, 2000])
 def test_chern_monomial_catalan_column_matches_closed_form(d):
     assert nd_chern_monomial(d) == nd_closed(d)
@@ -254,10 +228,6 @@ def test_chern_monomial_names_a_huge_column_end_by_its_bits(monkeypatch):
         nd_chern_monomial(5)
 
 
-def test_chern_schubert_matches_table():
-    assert [nd_chern_schubert(d) for d in range(1, 10)] == ND_FIRST_NINE
-
-
 def test_rejects_nonpositive_d():
     for func in (nd_closed, nd_factorial, nd_chern_monomial, nd_chern_schubert, flex_report):
         with pytest.raises(ValueError):
@@ -279,6 +249,9 @@ def test_cross_check_range_validation():
         cross_check(3, 2)
     with pytest.raises(ValueError):
         cross_check(0, 5)
+    # past 4300 digits str() raises its own ValueError by default, so the range shows its size
+    with pytest.raises(ValueError, match=r"^empty range \[a 16610-bit integer, 1\]$"):
+        cross_check(10**5000, 1)
 
 
 def test_cross_check_single_d():

@@ -88,6 +88,9 @@ def test_monomial_integral_rejects_bad_input():
         monomial_integral(-2, 2, 1)
     with pytest.raises(ValueError):
         monomial_integral(2, 0, 0)
+    # past 4300 digits str() raises its own ValueError by default, so m shows its size
+    with pytest.raises(ValueError, match=r"^degree a 16610-bit integer \+ 2\*0 != 2\*1, not a top"):
+        monomial_integral(10**5000, 0, 1)
 
 
 def test_pieri_matches_formula_canonical_order():
