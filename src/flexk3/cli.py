@@ -34,7 +34,8 @@ from types import SimpleNamespace
 from . import flexdeg, qseries
 from .schubert import _sigma1_column, _sigma1_step, monomial_integral
 
-# The paper's claimed first flex-dominant d, as an inclusive range.
+# The often-quoted window for the first flex-dominant d, as an inclusive range;
+# the paper's abstract states no crossover.
 CLAIMED_SWITCH = (8, 9)
 CLAIMED_WINDOW = "between d={} and d={}".format(*CLAIMED_SWITCH)
 
